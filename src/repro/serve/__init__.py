@@ -6,16 +6,20 @@ executes and persists experiments.
 
 * :class:`JobStore` (:mod:`repro.serve.store`) — SQLite persistence, jobs
   keyed by :attr:`ExperimentRequest.content_hash` with states
-  ``queued/running/done/failed/cancelled``, per-stage timings, JSON results,
-  and crash recovery.
-* :class:`Scheduler` (:mod:`repro.serve.scheduler`) — drains the queue with
-  configurable concurrency, priority + FIFO ordering, hash-level dedup,
-  retry-with-backoff, and graceful drain on SIGINT/SIGTERM.
+  ``queued/running/done/failed/cancelled/quarantined``, per-stage timings,
+  JSON results, crash recovery, and the durable per-job event log every
+  transition appends to.
+* :class:`Worker` (:mod:`repro.serve.worker`) — the one job executor:
+  lease-claim (priority + FIFO), execute, heartbeat, retry-with-backoff or
+  fail, reap expired leases fleet-wide.  Runs as a ``repro worker`` process
+  or as a thread of ``repro serve``.
+* :class:`Scheduler` (:mod:`repro.serve.scheduler`) — the front end's
+  lifecycle: crash recovery at start, ``concurrency`` worker threads woken
+  on submit, graceful drain on SIGINT/SIGTERM.
 * :class:`ExperimentServer` (:mod:`repro.serve.http_api`) — stdlib
   ``ThreadingHTTPServer`` JSON API (``POST /jobs``, ``GET /jobs[/<id>]``,
-  ``DELETE /jobs/<id>``, ``GET /healthz``).
-* :class:`Worker` (:mod:`repro.serve.worker`) — one ``repro worker`` process:
-  lease-claim, execute, heartbeat, reap expired leases fleet-wide.
+  ``DELETE /jobs/<id>``, ``GET /jobs/<id>/events``, ``GET /healthz``) that
+  reads every job view from the store, so both serving modes answer alike.
 * :class:`WorkerSupervisor` (:mod:`repro.serve.supervisor`) — spawns and
   respawns a fleet of worker processes for ``repro serve --fleet N``.
 * :class:`ServeClient` (:mod:`repro.serve.client`) — the urllib client the

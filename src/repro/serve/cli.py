@@ -58,8 +58,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
     )
     # With a worker fleet the supervisor process runs front-end only
-    # (concurrency=0): execution belongs to the worker processes, the
-    # scheduler still submits, reaps expired leases, and feeds events.
+    # (concurrency=0): execution, reaping and retries belong to the worker
+    # processes; the scheduler recovers the store and accepts submissions.
     concurrency = 0 if args.fleet else args.concurrency
     scheduler = Scheduler(
         store,
@@ -101,6 +101,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             no_cache=args.no_cache,
             job_workers=args.workers,
             quarantine_after=args.requeue_cap,
+            retry_delay=args.retry_delay,
         )
         supervisor.start()
         server.supervisor = supervisor
@@ -205,6 +206,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
     def _request_shutdown(signum: int, frame: Any) -> None:
         stop.set()
+        worker.wake()
 
     previous = {
         sig: signal.signal(sig, _request_shutdown)

@@ -1,8 +1,11 @@
-"""Stdlib HTTP JSON API in front of the job scheduler.
+"""Stdlib HTTP JSON API in front of the job store and scheduler.
 
 Built on :class:`http.server.ThreadingHTTPServer` — no web framework, no new
 dependency — because the payloads are small JSON documents and the heavy
-lifting happens in the scheduler's workers, not in request handlers.
+lifting happens in the workers, not in request handlers.  Every job view
+(rows, the events feed, the ``/stats`` transition counters) is read from
+the store, so the API answers the same way whether the jobs run on the
+scheduler's threads or in ``--fleet`` worker processes.
 
 Routes
 ------
@@ -25,8 +28,10 @@ Routes
     Long-poll streaming stage progress: ``?since=N`` resumes after the last
     seen sequence number, ``?timeout=S`` bounds the poll (default 25s, capped
     at 60).  Responds ``{"job": ..., "state": ..., "events": [...], "next":
-    N}`` — the events are the scheduler's started/stage/done/failed feed (the
-    pipeline's ``on_stage`` hook, streamed instead of polled).
+    N}`` — the events are the store's durable log of the job's transitions
+    (started/stage/done/retry_scheduled/failed/cancelled/requeued/
+    quarantined), re-read every ``EVENTS_POLL_INTERVAL`` seconds until an
+    event arrives, the job is inactive, or the timeout passes.
 ``GET /jobs/<id>/trace``
     The job's merged distributed trace as a Chrome/Perfetto trace-event
     document: every span any fleet process spooled under the job's
@@ -40,8 +45,10 @@ Routes
     epoch ``T``.
 ``GET /stats``
     Telemetry snapshot: uptime, queue depth by state, per-stage p50/p95
-    latency, cache hit rates, job/scheduler counters (dedup attaches,
-    retries, claims) and the full metrics registry.
+    latency, cache hit rates, job counters and the full metrics registry.
+    The job-transition counters (claimed, done, failed, retried, cancelled,
+    requeued, quarantined) are totals over the store's event log; the rest
+    (submissions, dedup attaches, busy retries, ...) count this process.
 ``GET /metrics``
     The same registry in Prometheus text exposition format, plus per-state
     ``repro_serve_jobs`` gauges refreshed at scrape time.
@@ -81,9 +88,12 @@ from repro.serve.store import (
     UnknownJobError,
 )
 
-# Long-poll bounds for /jobs/<id>/events.
+# Long-poll bounds for /jobs/<id>/events, and how often a poll re-reads the
+# store's event log (the writer may be another process, so there is nothing
+# in this one to wait on).
 DEFAULT_EVENTS_TIMEOUT = 25.0
 MAX_EVENTS_TIMEOUT = 60.0
+EVENTS_POLL_INTERVAL = 0.05
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8377
@@ -327,9 +337,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             job = self.server.store.find(parts[1])
-            # Route through the scheduler so long-pollers on the events feed
-            # see a terminal ``cancelled`` event instead of hanging.
-            job, cancelled = self.server.scheduler.cancel(job.id)
+            job, cancelled = self.server.store.cancel(job.id)
         except UnknownJobError as exc:
             self._send_error(str(exc), 404)
             return
@@ -406,6 +414,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         queue_wait = snapshot.get("serve.queue_wait_seconds", ())
         validate_error = snapshot.get("analytic.validate.max_rel_error", ())
+        logged = server.store.event_counts()
         return {
             "version": repro.__version__,
             "uptime_s": time.time() - server.started_at,
@@ -413,16 +422,16 @@ class _Handler(BaseHTTPRequestHandler):
             "jobs": {
                 "submitted": counter_total("jobs.submitted"),
                 "dedup_attached": counter_total("jobs.dedup_attached"),
-                "claimed": counter_total("jobs.claimed"),
-                "done": counter_total("jobs.done"),
-                "failed": counter_total("jobs.failed"),
-                "retried": counter_total("jobs.retried"),
-                "cancelled": counter_total("jobs.cancelled"),
+                "claimed": logged.get("started", 0),
+                "done": logged.get("done", 0),
+                "failed": logged.get("failed", 0),
+                "retried": logged.get("retry_scheduled", 0),
+                "cancelled": logged.get("cancelled", 0),
                 "lease_expired": counter_total("jobs.lease_expired"),
-                "requeued": counter_total("jobs.requeued"),
+                "requeued": logged.get("requeued", 0),
                 "lease_lost": counter_total("jobs.lease_lost"),
                 "busy_retries": counter_total("store.busy_retries"),
-                "quarantined": counter_total("jobs.quarantined"),
+                "quarantined": logged.get("quarantined", 0),
                 "manual_requeues": counter_total("jobs.manual_requeues"),
                 "deadline_exceeded": counter_total("serve.deadline_exceeded"),
                 "admission_rejected": counter_total("serve.admission_rejected"),
@@ -498,10 +507,19 @@ class _Handler(BaseHTTPRequestHandler):
             float(query.get("timeout", [str(DEFAULT_EVENTS_TIMEOUT)])[0]),
             MAX_EVENTS_TIMEOUT,
         )
-        events = self.server.scheduler.events.since(job.id, since)
-        if not events and job.state not in INACTIVE_STATES and timeout > 0:
-            events = self.server.scheduler.events.wait(job.id, since, timeout)
+        deadline = time.monotonic() + timeout
+        while True:
+            # State before events: a terminal state read here guarantees its
+            # event (logged in the same transaction) is in the read below.
             job = self.server.store.get(job.id)
+            events = self.server.store.events(job.id, since)
+            if (
+                events
+                or job.state in INACTIVE_STATES
+                or time.monotonic() >= deadline
+            ):
+                break
+            time.sleep(EVENTS_POLL_INTERVAL)
         return {
             "job": job.id,
             "state": job.state,

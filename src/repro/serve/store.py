@@ -40,6 +40,14 @@ intervention and no all-or-nothing recovery pass.  Completion is
 owner-guarded: ``mark_done``/``mark_failed`` with a ``worker_id`` only land
 if that worker still holds the lease, so a reaped-and-reclaimed job can
 never be double-completed by its original (slow, presumed-dead) worker.
+
+**Event log.**  Every transition appends one row to ``job_events`` inside
+the transaction that applies it (``started``, ``stage``, ``done``,
+``retry_scheduled``, ``failed``, ``cancelled``, ``requeued``,
+``quarantined``), and only when its UPDATE applied.  The log is the job's
+durable history — retries and requeues included, which the job row itself
+overwrites — and the one source for ``GET /jobs/<id>/events`` and the
+``/stats`` transition counters, whichever process made the change.
 """
 
 from __future__ import annotations
@@ -141,6 +149,16 @@ CREATE TABLE IF NOT EXISTS workers (
     jobs_done    INTEGER NOT NULL DEFAULT 0,
     jobs_failed  INTEGER NOT NULL DEFAULT 0
 );
+-- Added without a version bump: CREATE IF NOT EXISTS upgrades a v4 file on
+-- open, and builds that predate the table open the file unchanged.
+CREATE TABLE IF NOT EXISTS job_events (
+    seq    INTEGER PRIMARY KEY AUTOINCREMENT,
+    job_id TEXT NOT NULL,
+    ts     REAL NOT NULL,
+    event  TEXT NOT NULL,
+    data   TEXT NOT NULL DEFAULT '{}'      -- the event's fields as JSON
+);
+CREATE INDEX IF NOT EXISTS idx_job_events_job ON job_events (job_id, seq);
 """
 
 # Incremental migrations, applied in sequence from the database's recorded
@@ -322,6 +340,16 @@ class ReapOutcome:
 
     def __bool__(self) -> bool:
         return bool(self.requeued or self.quarantined)
+
+
+def _log_event(
+    conn: sqlite3.Connection, job_id: str, event: str, now: float, **data: Any
+) -> None:
+    """Append one event to ``job_events`` inside the caller's transaction."""
+    conn.execute(
+        "INSERT INTO job_events (job_id, ts, event, data) VALUES (?, ?, ?, ?)",
+        (job_id, now, event, json.dumps(data)),
+    )
 
 
 def _job_from_row(row: sqlite3.Row) -> Job:
@@ -674,8 +702,8 @@ class JobStore:
         worker_id = worker_id or default_worker_id()
         with self._write("claim_next", worker=worker_id) as conn:
             row = conn.execute(
-                "SELECT id, created_at, not_before FROM jobs"
-                " WHERE state=? AND not_before<=?"
+                "SELECT id, experiment, executions, created_at, not_before"
+                " FROM jobs WHERE state=? AND not_before<=?"
                 " ORDER BY priority DESC, created_at ASC, id ASC LIMIT 1",
                 (QUEUED, now),
             ).fetchone()
@@ -685,6 +713,15 @@ class JobStore:
                 "UPDATE jobs SET state=?, started_at=?, executions=executions+1,"
                 " worker_id=?, lease_expires_at=?, heartbeat_at=? WHERE id=?",
                 (RUNNING, now, worker_id, now + lease_ttl, now, row["id"]),
+            )
+            _log_event(
+                conn,
+                row["id"],
+                "started",
+                now,
+                execution=row["executions"] + 1,
+                experiment=row["experiment"],
+                worker=worker_id,
             )
             # Dequeue-to-start latency: how long the job was *due* (past its
             # creation and any retry-backoff gate) before a worker took it.
@@ -736,11 +773,35 @@ class JobStore:
         must not be allowed to grind the fleet forever.  Only the explicit
         :meth:`requeue` escape hatch releases a quarantined job.
         """
+        return self._reap("reap_expired", now, quarantine_after, leaseless=False)
+
+    def recover(
+        self,
+        now: float | None = None,
+        quarantine_after: int = DEFAULT_REQUEUE_CAP,
+    ) -> int:
+        """Requeue interrupted jobs: expired leases plus lease-less rows.
+
+        The reaper pass plus one extra case: a ``running`` row with no lease
+        at all (a database written by the pre-lease schema, mid-migration).
+        Jobs whose lease is still live are left alone — they belong to a
+        worker process that may well still be running.  Returns how many
+        jobs went back to the queue.
+        """
+        return len(
+            self._reap("recover", now, quarantine_after, leaseless=True).requeued
+        )
+
+    def _reap(
+        self, op: str, now: float | None, quarantine_after: int, leaseless: bool
+    ) -> "ReapOutcome":
         now = time.time() if now is None else now
-        with self._write("reap_expired") as conn:
+        lapsed = "lease_expires_at<=?" + (
+            " OR lease_expires_at IS NULL" if leaseless else ""
+        )
+        with self._write(op) as conn:
             rows = conn.execute(
-                "SELECT id, requeue_count FROM jobs WHERE state=?"
-                " AND lease_expires_at IS NOT NULL AND lease_expires_at<=?",
+                f"SELECT id, requeue_count FROM jobs WHERE state=? AND ({lapsed})",
                 (RUNNING, now),
             ).fetchall()
             requeued = [
@@ -773,6 +834,19 @@ class JobStore:
                     f" WHERE id IN ({marks})",
                     (QUARANTINED, now, *quarantined),
                 )
+            for job_id in requeued:
+                _log_event(conn, job_id, "requeued", now, reason="lease expired")
+            for job_id in quarantined:
+                _log_event(
+                    conn,
+                    job_id,
+                    "quarantined",
+                    now,
+                    reason=(
+                        f"lease expired more than {quarantine_after} times"
+                        " (crash loop?)"
+                    ),
+                )
         total = len(requeued) + len(quarantined)
         if total:
             metrics().counter("jobs.lease_expired").inc(total)
@@ -781,41 +855,6 @@ class JobStore:
         if quarantined:
             metrics().counter("jobs.quarantined").inc(len(quarantined))
         return ReapOutcome(requeued=requeued, quarantined=quarantined)
-
-    def recover(
-        self,
-        now: float | None = None,
-        quarantine_after: int = DEFAULT_REQUEUE_CAP,
-    ) -> int:
-        """Requeue interrupted jobs: expired leases plus lease-less rows.
-
-        Subsumed by :meth:`reap_expired` for leased rows; the extra case is
-        a ``running`` row with no lease at all (a database written by the
-        pre-lease schema, mid-migration).  Jobs whose lease is still live
-        are left alone — they belong to a worker process that may well still
-        be running.  Applies the same crash-loop bound as the reaper.
-        """
-        now = time.time() if now is None else now
-        with self._write("recover") as conn:
-            conn.execute(
-                "UPDATE jobs SET state=?, worker_id=NULL,"
-                " lease_expires_at=NULL, heartbeat_at=NULL, finished_at=?"
-                " WHERE state=? AND (lease_expires_at IS NULL"
-                " OR lease_expires_at<=?) AND requeue_count>=?",
-                (QUARANTINED, now, RUNNING, now, quarantine_after),
-            )
-            cursor = conn.execute(
-                "UPDATE jobs SET state=?, worker_id=NULL, lease_expires_at=NULL,"
-                " heartbeat_at=NULL, started_at=NULL, not_before=0,"
-                " requeue_count=requeue_count+1"
-                " WHERE state=? AND (lease_expires_at IS NULL"
-                " OR lease_expires_at<=?)",
-                (QUEUED, RUNNING, now),
-            )
-            requeued = cursor.rowcount
-        if requeued:
-            metrics().counter("jobs.requeued").inc(requeued)
-        return requeued
 
     def requeue(self, job_id: str, now: float | None = None) -> tuple[Job, bool]:
         """Manually release a resting job back to the queue — the
@@ -835,6 +874,8 @@ class JobStore:
                 (QUEUED, job_id, QUARANTINED, FAILED, CANCELLED),
             )
             requeued = cursor.rowcount > 0
+            if requeued:
+                _log_event(conn, job_id, "requeued", now, reason="manual")
         if requeued:
             metrics().counter("jobs.manual_requeues").inc()
         return self.get(job_id), requeued
@@ -866,6 +907,8 @@ class JobStore:
                 (DONE, now, result.to_json(indent=None), timings, job_id, *args),
             )
             applied = cursor.rowcount > 0
+            if applied:
+                _log_event(conn, job_id, "done", now)
         if applied:
             metrics().counter("jobs.done").inc()
         else:
@@ -903,6 +946,17 @@ class JobStore:
                     (FAILED, now, error, job_id, *args),
                 )
             applied = cursor.rowcount > 0
+            if applied and retry_at is not None:
+                _log_event(
+                    conn,
+                    job_id,
+                    "retry_scheduled",
+                    now,
+                    error=error,
+                    delay=max(0.0, retry_at - now),
+                )
+            elif applied:
+                _log_event(conn, job_id, "failed", now, error=error)
         if not applied:
             metrics().counter("jobs.lease_lost").inc()
         else:
@@ -931,24 +985,75 @@ class JobStore:
                 (CANCELLED, now, job_id, QUEUED),
             )
             cancelled = cursor.rowcount > 0
+            if cancelled:
+                _log_event(conn, job_id, "cancelled", now)
         if cancelled:
             metrics().counter("jobs.cancelled").inc()
         return self.get(job_id), cancelled
 
-    def record_stage(self, job_id: str, stage: str, seconds: float) -> None:
-        """Stream one completed stage's timing into the job row (live)."""
+    def record_stage(
+        self,
+        job_id: str,
+        stage: str,
+        seconds: float,
+        worker_id: str | None = None,
+    ) -> None:
+        """Stream one completed stage's timing into the job row (live).
+
+        ``worker_id`` applies the owner guard of :meth:`mark_done`: a worker
+        whose lease was reaped keeps running, and its stage timings must
+        not land on the row (or in the event log) of the job's next
+        execution.
+        """
+        guard, args = self._owner_guard(worker_id)
         with self._write("record_stage", job=job_id, stage=stage) as conn:
             row = conn.execute(
-                "SELECT timings FROM jobs WHERE id=?", (job_id,)
+                f"SELECT timings FROM jobs WHERE id=?{guard}", (job_id, *args)
             ).fetchone()
             if row is None:
-                raise UnknownJobError(f"unknown job {job_id!r}")
+                if worker_id is None:
+                    raise UnknownJobError(f"unknown job {job_id!r}")
+                metrics().counter("jobs.lease_lost").inc()
+                return
             timings = dict(json.loads(row["timings"] or "{}"))
             timings[stage] = seconds
             conn.execute(
                 "UPDATE jobs SET timings=? WHERE id=?",
                 (json.dumps(timings), job_id),
             )
+            _log_event(
+                conn, job_id, "stage", time.time(), stage=stage, seconds=seconds
+            )
+
+    def events(self, job_id: str, since: int = 0) -> list[dict[str, Any]]:
+        """The job's logged events with ``seq > since``, oldest first.
+
+        Each event is ``{"seq", "ts", "event", **fields}``; ``seq`` is the
+        log's row id, increasing per job but not contiguous.
+        """
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT seq, ts, event, data FROM job_events"
+                " WHERE job_id=? AND seq>? ORDER BY seq",
+                (job_id, since),
+            ).fetchall()
+        return [
+            {
+                "seq": row["seq"],
+                "ts": row["ts"],
+                "event": row["event"],
+                **json.loads(row["data"]),
+            }
+            for row in rows
+        ]
+
+    def event_counts(self) -> dict[str, int]:
+        """How many times each event was logged over the store's lifetime."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT event, COUNT(*) AS n FROM job_events GROUP BY event"
+            ).fetchall()
+        return {row["event"]: row["n"] for row in rows}
 
     def submissions(self, job_id: str) -> list[dict[str, Any]]:
         """The submission records attached to one job, oldest first."""

@@ -70,6 +70,9 @@ class WorkerSupervisor:
     quarantine_after:
         Crash-loop cap forwarded to every worker's reaper (``None`` keeps
         the worker default).
+    retry_delay:
+        Base delay of every worker's retry backoff (``None`` keeps the
+        worker default).
     extra_env:
         Extra environment variables for every worker process (layered over
         the inherited environment; the chaos harness ships fault plans
@@ -88,6 +91,7 @@ class WorkerSupervisor:
         respawn_delay: float = 1.0,
         monitor_interval: float = 0.5,
         quarantine_after: int | None = None,
+        retry_delay: float | None = None,
         extra_env: Mapping[str, str] | None = None,
     ) -> None:
         if count < 1:
@@ -102,6 +106,7 @@ class WorkerSupervisor:
         self.respawn_delay = respawn_delay
         self.monitor_interval = monitor_interval
         self.quarantine_after = quarantine_after
+        self.retry_delay = retry_delay
         self.extra_env = dict(extra_env) if extra_env else None
         self._procs: list[subprocess.Popen | None] = [None] * count
         self._restarts = [0] * count
@@ -133,6 +138,8 @@ class WorkerSupervisor:
             command += ["--workers", str(self.job_workers)]
         if self.quarantine_after is not None:
             command += ["--requeue-cap", str(self.quarantine_after)]
+        if self.retry_delay is not None:
+            command += ["--retry-delay", str(self.retry_delay)]
         return command
 
     def _spawn(self, slot: int) -> subprocess.Popen:

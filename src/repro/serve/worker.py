@@ -1,12 +1,14 @@
-"""One lease-based worker process draining a shared :class:`JobStore`.
+"""The job executor: one claim → execute → heartbeat → retry-or-fail loop.
 
-``repro worker --db serve.db`` is the execution half of the distributed
-service: any number of these processes (on any machine that can reach the
-SQLite file) lease jobs from one store, run them through the registered
-pipelines, and heartbeat while they work.  The supervisor process
-(``repro serve --fleet N``) owns the HTTP front end and spawns/respawns
-workers, but workers are also usable bare — point several at one database
-and they coordinate purely through the store's lease transactions.
+:class:`Worker` is the only code that executes jobs.  ``repro worker --db
+serve.db`` runs one as its own process, and ``repro serve --fleet N``
+supervises N of those; ``repro serve`` without ``--fleet`` runs
+``--concurrency`` of them on threads of the front-end process (see
+:class:`~repro.serve.scheduler.Scheduler`).  Workers coordinate only through
+the shared :class:`JobStore` — any number of them, on any machine that can
+reach the SQLite file — and every transition they make lands in the store's
+event log, so ``GET /jobs/<id>/events`` and ``/stats`` read the same record
+whichever process or thread ran the job.
 
 Crash-recovery contract:
 
@@ -14,12 +16,13 @@ Crash-recovery contract:
   background thread extends the lease every ``heartbeat_interval`` seconds
   (TTL/3 by default) for as long as the pipeline runs.
 * If this process dies (SIGKILL, OOM, power loss), the lease stops being
-  extended and lapses; the next reaper pass — every worker runs one
-  periodically, as does the supervisor's scheduler — requeues the job, and
-  a surviving worker re-executes it.
-* If this process is merely *slow* and its lease is reaped out from under
-  it, the owner guard on ``mark_done``/``mark_failed`` discards its late
-  result: the job's outcome belongs to whoever holds the lease.
+  extended and lapses.  Every worker reaps expired leases when it starts and
+  every half lease TTL while it is between jobs, so a surviving (or
+  respawned) worker requeues the job and re-executes it.
+* If this worker is merely *slow* and its lease is reaped out from under
+  it, the owner guard on ``record_stage``/``mark_done``/``mark_failed``
+  discards its late writes: the job's outcome belongs to whoever holds the
+  lease.
 
 SIGTERM/SIGINT drain gracefully: the current job finishes, nothing new is
 claimed, the worker deregisters and exits 0.
@@ -29,13 +32,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
+from typing import Any, Callable
 
 from repro.api.request import ExperimentRequest, ExperimentResult, RunOptions
 from repro.api.stages import DeadlineExceeded
 from repro.faults import fault_point
 from repro.obs import metrics, trace_context, trace_span
-from repro.serve.scheduler import ExecuteFn, call_execute, plan_retry
 from repro.serve.store import (
     DEFAULT_LEASE_TTL,
     DEFAULT_REQUEUE_CAP,
@@ -44,12 +46,37 @@ from repro.serve.store import (
     default_worker_id,
 )
 
+# Execution callable: (request, options, on_stage, deadline) -> result, where
+# ``deadline`` is the job's absolute epoch-seconds budget end, or None.
+ExecuteFn = Callable[
+    [ExperimentRequest, RunOptions, Callable[[str, float], None], float | None],
+    ExperimentResult,
+]
+
+
+def plan_retry(
+    job: Job,
+    base_delay: float,
+    max_delay: float,
+    now: float | None = None,
+) -> float | None:
+    """The requeue-at timestamp for a failed execution, or ``None``.
+
+    ``None`` means the retry budget of the job's current incarnation is
+    spent and the failure is terminal.
+    """
+    attempts = job.executions_this_incarnation
+    if attempts > job.max_retries:
+        return None
+    delay = min(max_delay, base_delay * (2 ** (attempts - 1)))
+    return (time.time() if now is None else now) + delay
+
 
 def _default_execute(
     request: ExperimentRequest,
     options: RunOptions,
     on_stage: Callable[[str, float], None],
-    deadline: float | None = None,
+    deadline: float | None,
 ) -> ExperimentResult:
     from repro.api.registry import run_experiment
 
@@ -75,13 +102,9 @@ class Worker:
         the fleet's failure-detection latency: a dead worker's jobs requeue
         at most one TTL + one reap interval after its last heartbeat.
     poll_interval:
-        Idle sleep between queue checks.
-    reap:
-        Whether this worker also reaps expired leases fleet-wide (on by
-        default — any surviving worker rescues a dead one's jobs even
-        without a supervisor).
+        Idle sleep between queue checks; :meth:`wake` cuts it short.
     retry_base_delay / retry_max_delay:
-        Backoff policy for failed executions (same as the scheduler's).
+        Exponential-backoff parameters for failed executions.
     quarantine_after:
         Crash-loop bound applied by this worker's reaper passes.
     execute:
@@ -96,7 +119,6 @@ class Worker:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         heartbeat_interval: float | None = None,
         poll_interval: float = 0.5,
-        reap: bool = True,
         retry_base_delay: float = 0.5,
         retry_max_delay: float = 60.0,
         quarantine_after: int = DEFAULT_REQUEUE_CAP,
@@ -116,13 +138,27 @@ class Worker:
             else max(0.05, lease_ttl / 3.0)
         )
         self.poll_interval = poll_interval
-        self.reap = reap
         self.reap_interval = max(self.heartbeat_interval, lease_ttl / 2.0)
         self.retry_base_delay = retry_base_delay
         self.retry_max_delay = retry_max_delay
         self._execute = execute if execute is not None else _default_execute
         self._log = log if log is not None else (lambda message: None)
+        self._wakeup = threading.Event()
         self.jobs_executed = 0
+        self.current_job: str | None = None
+        self.last_claim_at: float | None = None
+
+    def wake(self) -> None:
+        """End the current idle wait now: a job was queued, or stop was set."""
+        self._wakeup.set()
+
+    def liveness(self) -> dict[str, Any]:
+        """Last claim, current job and jobs run — the ``/healthz`` view."""
+        return {
+            "last_dequeue_at": self.last_claim_at,
+            "current_job": self.current_job,
+            "jobs_done": self.jobs_executed,
+        }
 
     # ------------------------------------------------------------------
     def run(
@@ -134,7 +170,9 @@ class Worker:
         """Drain the queue until stopped; returns jobs executed.
 
         ``max_jobs`` bounds the number of executions (testing / batch use);
-        ``idle_exit`` exits after that many consecutive idle seconds.
+        ``idle_exit`` exits after that many consecutive idle seconds.  A
+        caller that sets ``stop`` also calls :meth:`wake`, or the worker
+        notices only after its current idle wait.
         """
         stop = stop if stop is not None else threading.Event()
         self.store.register_worker(self.worker_id)
@@ -143,7 +181,7 @@ class Worker:
         next_reap = time.monotonic()
         try:
             while not stop.is_set():
-                if self.reap and time.monotonic() >= next_reap:
+                if time.monotonic() >= next_reap:
                     outcome = self.store.reap_expired(
                         quarantine_after=self.quarantine_after
                     )
@@ -167,10 +205,15 @@ class Worker:
                     if idle_exit is not None and now - idle_since >= idle_exit:
                         break
                     self.store.worker_heartbeat(self.worker_id)
-                    stop.wait(self.poll_interval)
+                    self._wakeup.wait(self.poll_interval)
+                    self._wakeup.clear()
                     continue
                 idle_since = None
-                self._run_job(job, stop)
+                self.current_job, self.last_claim_at = job.id, time.time()
+                try:
+                    self._run_job(job)
+                finally:
+                    self.current_job = None
                 self.jobs_executed += 1
                 if max_jobs is not None and self.jobs_executed >= max_jobs:
                     break
@@ -183,16 +226,16 @@ class Worker:
         return self.jobs_executed
 
     # ------------------------------------------------------------------
-    def _run_job(self, job: Job, stop: threading.Event) -> None:
+    def _run_job(self, job: Job) -> None:
         # The whole claim-to-outcome arc runs under the job's trace context,
         # so every span (and JSON log line) this thread emits carries the
         # cross-process correlation ids.
         with trace_context(
             trace_id=job.trace_id, job_id=job.id, worker_id=self.worker_id
         ):
-            self._run_job_traced(job, stop)
+            self._run_job_traced(job)
 
-    def _run_job_traced(self, job: Job, stop: threading.Event) -> None:
+    def _run_job_traced(self, job: Job) -> None:
         # An instantaneous claim marker, recorded (and spooled) *before*
         # execution starts: even a worker SIGKILL'd mid-job leaves proof in
         # the span store that it touched this trace.
@@ -225,7 +268,9 @@ class Worker:
         beater.start()
 
         def on_stage(stage: str, seconds: float) -> None:
-            self.store.record_stage(job.id, stage, seconds)
+            self.store.record_stage(
+                job.id, stage, seconds, worker_id=self.worker_id
+            )
 
         # ``started_at`` was stamped by the claim, so the deadline covers
         # execution only — queue wait does not eat a job's budget.
@@ -246,8 +291,8 @@ class Worker:
                 experiment=job.experiment,
                 execution=job.executions,
             ):
-                result = call_execute(
-                    self._execute, job.request(), self.options, on_stage, deadline
+                result = self._execute(
+                    job.request(), self.options, on_stage, deadline
                 )
         except Exception as exc:  # noqa: BLE001 — job isolation boundary
             done.set()
@@ -314,4 +359,4 @@ class Worker:
         self.store.worker_finished(self.worker_id, ok=False)
 
 
-__all__ = ["Worker"]
+__all__ = ["ExecuteFn", "Worker", "plan_retry"]

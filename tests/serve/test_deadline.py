@@ -1,4 +1,4 @@
-"""Per-job deadlines: pipeline enforcement, terminal failure, compat."""
+"""Per-job deadlines: pipeline enforcement and terminal failure."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ import pytest
 from repro.api import DeadlineExceeded, ExperimentRequest, run_experiment
 from repro.api.request import RunOptions
 from repro.api.stages import Pipeline, PipelineContext, Stage
-from repro.serve.scheduler import Scheduler, _accepts_deadline, call_execute
 from repro.serve.store import FAILED, JobStore
 from repro.serve.worker import Worker
+
+from test_obs_endpoints import _Service  # sibling module, same dir
 
 
 def _request(rate: float = 0.9) -> ExperimentRequest:
@@ -75,51 +76,6 @@ class TestPipelineDeadline:
         assert result.payload
 
 
-class TestExecuteCompat:
-    """Old 3-arg execute callables must keep working unchanged."""
-
-    def test_legacy_three_arg_lambda_is_not_passed_a_deadline(self):
-        execute = lambda request, options, on_stage: "legacy"  # noqa: E731
-        assert not _accepts_deadline(execute)
-        assert (
-            call_execute(execute, _request(), RunOptions(), None, deadline=5.0)
-            == "legacy"
-        )
-
-    def test_four_positional_args_receive_the_deadline(self):
-        seen = {}
-
-        def execute(request, options, on_stage, deadline):
-            seen["deadline"] = deadline
-            return "new"
-
-        assert _accepts_deadline(execute)
-        call_execute(execute, _request(), RunOptions(), None, deadline=7.5)
-        assert seen["deadline"] == 7.5
-
-    def test_keyword_only_deadline_is_accepted(self):
-        seen = {}
-
-        def execute(request, options, on_stage, *, deadline=None):
-            seen["deadline"] = deadline
-
-        assert _accepts_deadline(execute)
-        call_execute(execute, _request(), RunOptions(), None, deadline=1.0)
-        assert seen["deadline"] == 1.0
-
-    def test_none_deadline_is_never_forwarded(self):
-        """No-deadline jobs call even deadline-aware callables legacy-style,
-        so their own defaults apply."""
-
-        def execute(request, options, on_stage, deadline="untouched"):
-            return deadline
-
-        assert (
-            call_execute(execute, _request(), RunOptions(), None, deadline=None)
-            == "untouched"
-        )
-
-
 class TestWorkerDeadline:
     def test_deadline_is_started_at_plus_budget(self, store):
         store.submit(_request(), deadline_s=30.0)
@@ -140,44 +96,26 @@ class TestWorkerDeadline:
         job = store.get(_request().content_hash)
         assert seen["deadline"] == pytest.approx(job.started_at + 30.0)
 
-    def test_deadline_exceeded_is_terminal_despite_retries(self, store):
+    def test_deadline_exceeded_is_terminal_despite_retries(self, tmp_path, mode):
         """A job that blew its budget must not burn its retry budget too."""
-        store.submit(_request(), max_retries=5, deadline_s=0.001)
 
-        def execute(request, options, on_stage, deadline):
+        def execute(request, options, on_stage, deadline=None):
             raise DeadlineExceeded(deadline, 1.0)
 
-        worker = Worker(
-            store, worker_id="w1", poll_interval=0.05, execute=execute
-        )
-        assert worker.run(max_jobs=1, idle_exit=10.0) == 1
-        job = store.get(_request().content_hash)
-        assert job.state == FAILED  # terminal, not re-queued for retry
-        assert job.executions == 1
-        assert "DeadlineExceeded" in job.error
-
-    def test_scheduler_marks_deadline_exceeded_terminal(self, store):
-        def execute(request, options, on_stage, deadline):
-            raise DeadlineExceeded(deadline or 0.0, 2.0)
-
-        scheduler = Scheduler(
-            store,
-            options=RunOptions(use_cache=False),
-            concurrency=1,
-            execute=execute,
-        )
-        scheduler.start()
+        service = _Service(tmp_path, execute=execute, mode=mode)
         try:
-            job, _ = scheduler.submit(
+            job = service.client.submit(
                 _request(), max_retries=5, deadline_s=0.001
-            )
-            finished = scheduler.wait(job.id, timeout=30.0)
+            )["job"]
+            finished = service.client.wait(job["id"], timeout=30.0, poll=0.02)
+            feed = service.client.events(job["id"], timeout=1.0)["events"]
         finally:
-            scheduler.stop(timeout=10.0)
-        assert finished.state == FAILED
-        assert finished.executions == 1
-        events = [e["event"] for e in scheduler.events.since(job.id)]
-        assert "failed" in events
+            service.close()
+        assert finished["state"] == FAILED  # terminal, not re-queued for retry
+        assert finished["executions"] == 1
+        assert "DeadlineExceeded" in finished["error"]
+        assert [e["event"] for e in feed] == ["started", "failed"]
+        assert "DeadlineExceeded" in feed[-1]["error"]
 
     def test_deadline_survives_the_http_submit_path(self, store):
         """deadline_s rides the store row, not the request hash."""

@@ -145,7 +145,7 @@ class TestSigkillRecovery:
                 worker_id="w-survivor",
                 lease_ttl=lease_ttl,
                 poll_interval=0.05,
-                execute=lambda req, options, on_stage: _result(req),
+                execute=lambda req, options, on_stage, deadline=None: _result(req),
             )
             executed = survivor.run(max_jobs=1, idle_exit=30.0)
             assert executed == 1
@@ -177,7 +177,7 @@ class TestHeartbeatLiveness:
         with JobStore(db) as store:
             store.submit(request)
 
-            def slow_execute(req, options, on_stage):
+            def slow_execute(req, options, on_stage, deadline=None):
                 time.sleep(lease_ttl * 2.5)  # well past the original lease
                 return _result(req)
 
@@ -206,6 +206,15 @@ class TestHeartbeatLiveness:
 
 
 class TestSupervisor:
+    def test_worker_command_forwards_the_retry_delay(self, tmp_path):
+        """`repro serve --retry-delay` must reach `--fleet` workers too."""
+        supervisor = WorkerSupervisor(tmp_path / "s.db", count=1, retry_delay=2.5)
+        command = supervisor._command()
+        assert command[command.index("--retry-delay") + 1] == "2.5"
+        assert "--retry-delay" not in WorkerSupervisor(
+            tmp_path / "s.db", count=1
+        )._command()
+
     def test_fleet_spawns_registers_and_respawns(self, tmp_path):
         db = tmp_path / "super.db"
         JobStore(db).close()  # create the schema before workers race to it

@@ -144,6 +144,22 @@ class TestOwnerGuard:
         assert after.state == RUNNING
         assert after.error is None
 
+    def test_late_stage_from_reaped_worker_is_discarded(self, store):
+        """A reaped worker keeps running; its stages must not land on the
+        row or in the event feed of the job's re-execution."""
+        store.submit(_request())
+        now = time.time()
+        job = store.claim_next(worker_id="w-slow", lease_ttl=1.0, now=now)
+        store.reap_expired(now=now + 2.0)
+        store.claim_next(worker_id="w-fast", lease_ttl=30.0, now=now + 2.0)
+        events_before = store.events(job.id)
+        store.record_stage(job.id, "train", 9.0, worker_id="w-slow")
+        assert store.get(job.id).timings == {}
+        assert store.events(job.id) == events_before
+        store.record_stage(job.id, "train", 1.0, worker_id="w-fast")
+        assert store.get(job.id).timings == {"train": 1.0}
+        assert store.events(job.id)[-1]["event"] == "stage"
+
     def test_unguarded_mark_done_still_works(self, store):
         """Legacy callers (no worker_id) keep the old unconditional write."""
         request = _request()

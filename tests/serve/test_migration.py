@@ -127,6 +127,19 @@ class TestMigrationLadder:
             assert reopened.deadline_s == 4.5
             assert reopened.trace_id == trace_id
 
+    def test_v4_file_gains_the_event_log_on_open(self, tmp_path):
+        """The event log needs no migration step: a v4 file written before
+        the table existed gets it on open, still at version 4."""
+        path = tmp_path / "v4-no-log.db"
+        with JobStore(path) as store:
+            job, _ = store.submit(_request())
+            store._conn.execute("DROP TABLE job_events")
+        with JobStore(path) as store:
+            assert _user_version(store) == 4
+            assert store.events(job.id) == []
+            store.cancel(job.id)
+            assert [e["event"] for e in store.events(job.id)] == ["cancelled"]
+
     def test_dedup_attach_keeps_the_original_trace_id(self, tmp_path):
         with JobStore(tmp_path / "dedup.db") as store:
             first, _ = store.submit(_request(), trace_id="trace-original")

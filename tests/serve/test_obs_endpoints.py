@@ -1,8 +1,8 @@
 """The observability endpoints: /stats, /metrics, /jobs/<id>/events.
 
-Counters live in the process-global registry and accumulate across the test
-run, so every numeric assertion is a delta between two snapshots taken
-inside one test.
+Process counters live in the process-global registry and accumulate across
+the test run, so every numeric assertion is a delta between two snapshots
+taken inside one test.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.http_api import ExperimentServer
 from repro.serve.scheduler import Scheduler
 from repro.serve.store import JobStore
+from repro.serve.worker import Worker
 
 
 def _request(rate: float = 0.9) -> ExperimentRequest:
@@ -31,7 +32,7 @@ class StageExecutor:
         self.gate = gate
         self.started = started
 
-    def __call__(self, request, options, on_stage):
+    def __call__(self, request, options, on_stage, deadline=None):
         if self.started is not None:
             self.started.set()
         if self.gate is not None:
@@ -47,16 +48,45 @@ class StageExecutor:
 
 
 class _Service:
-    def __init__(self, tmp_path, execute=None, start=True):
-        self.store = JobStore(tmp_path / "serve.db")
+    """Store + scheduler + HTTP server, executing in one of the two modes.
+
+    ``tuning`` (poll interval, retry delays) goes to whichever object
+    executes: the scheduler's threads in process, the worker in ``fleet``.
+    """
+
+    def __init__(self, tmp_path, execute=None, start=True, mode="inprocess",
+                 **tuning):
+        tuning.setdefault("poll_interval", 0.02)
+        fleet = mode == "fleet"
+        self.path = tmp_path / "serve.db"
+        self.store = JobStore(self.path)
         self.scheduler = Scheduler(
             self.store,
             options=RunOptions(use_cache=False),
-            poll_interval=0.02,
+            concurrency=0 if fleet else 1,
             execute=execute,
+            **tuning,
         )
+        self.worker = None
+        if fleet:
+            self.worker_store = JobStore(self.path)
+            self.worker = Worker(
+                self.worker_store,
+                options=RunOptions(use_cache=False),
+                worker_id="fleet-worker",
+                execute=execute,
+                **tuning,
+            )
+            self.worker_stop = threading.Event()
+            self.worker_thread = threading.Thread(
+                target=self.worker.run,
+                kwargs={"stop": self.worker_stop},
+                daemon=True,
+            )
         if start:
             self.scheduler.start()
+            if fleet:
+                self.worker_thread.start()
         self.server = ExperimentServer(self.scheduler, port=0)
         self.thread = threading.Thread(
             target=self.server.serve_forever, daemon=True
@@ -67,6 +97,13 @@ class _Service:
     def close(self):
         self.server.shutdown()
         self.server.server_close()
+        if self.worker is not None:
+            self.worker_stop.set()
+            self.worker.wake()
+            if self.worker_thread.is_alive():
+                self.worker_thread.join(timeout=10.0)
+                assert not self.worker_thread.is_alive()
+            self.worker_store.close()
         if self.scheduler.running:
             assert self.scheduler.stop(timeout=10.0)
         self.store.close()
@@ -175,12 +212,14 @@ class TestMetricsEndpoint:
 
 
 class TestJobEvents:
-    def test_streamed_events_cover_the_lifecycle(self, tmp_path):
+    def test_streamed_events_cover_the_lifecycle(self, tmp_path, mode):
         started, gate = threading.Event(), threading.Event()
         service = _Service(
-            tmp_path, execute=StageExecutor(gate=gate, started=started)
+            tmp_path, execute=StageExecutor(gate=gate, started=started),
+            mode=mode,
         )
         try:
+            before = service.client.stats()["jobs"]
             job = service.client.submit(_request())["job"]
             assert started.wait(10.0)
             first = service.client.events(job["id"], since=0, timeout=5.0)
@@ -208,6 +247,76 @@ class TestJobEvents:
             )
             assert drained["events"] == []
             assert drained["next"] == rest["next"]
+
+            # /stats reads the same log, whichever thread or process ran it.
+            after = service.client.stats()["jobs"]
+            assert after["claimed"] - before["claimed"] == 1
+            assert after["done"] - before["done"] == 1
+            feed = first["events"] + rest["events"]
+        finally:
+            service.close()
+
+        # The feed is durable: a restarted service serves the same events.
+        with JobStore(tmp_path / "serve.db") as reopened:
+            assert reopened.events(job["id"]) == feed
+
+    def test_cancel_ends_a_queued_jobs_feed(self, tmp_path, mode):
+        started, gate = threading.Event(), threading.Event()
+        service = _Service(
+            tmp_path, execute=StageExecutor(gate=gate, started=started),
+            mode=mode,
+        )
+        try:
+            running = service.client.submit(_request(rate=0.8))["job"]
+            assert started.wait(10.0)  # the one executor is now busy
+            queued = service.client.submit(_request(rate=0.6))["job"]
+            before = service.client.stats()["jobs"]
+            assert service.client.cancel(queued["id"])["cancelled"] is True
+            feed = service.client.events(queued["id"], since=0, timeout=5.0)
+            assert [e["event"] for e in feed["events"]] == ["cancelled"]
+            assert feed["state"] == "cancelled"
+            assert service.client.stats()["jobs"]["cancelled"] == (
+                before["cancelled"] + 1
+            )
+            gate.set()
+            finished = service.client.wait(running["id"], timeout=30.0, poll=0.02)
+            assert finished["state"] == "done"
+        finally:
+            gate.set()
+            service.close()
+
+    def test_retry_backoff_shows_in_the_feed(self, tmp_path, mode):
+        calls = []
+
+        def flaky(request, options, on_stage, deadline=None):
+            calls.append(time.time())
+            if len(calls) <= 2:
+                raise ValueError(f"synthetic failure #{len(calls)}")
+            return ExperimentResult(
+                experiment=request.experiment, request=request, payload={},
+                summary="ok",
+            )
+
+        service = _Service(
+            tmp_path, execute=flaky, mode=mode, retry_base_delay=0.1
+        )
+        try:
+            job = service.client.submit(_request(), max_retries=2)["job"]
+            finished = service.client.wait(job["id"], timeout=30.0, poll=0.02)
+            assert finished["state"] == "done"
+            assert finished["executions"] == 3
+            kinds = [
+                e["event"]
+                for e in service.client.events(job["id"], timeout=1.0)["events"]
+            ]
+            assert kinds == [
+                "started", "retry_scheduled",
+                "started", "retry_scheduled",
+                "started", "done",
+            ]
+            # Exponential backoff: 0.1 s, then 0.2 s, between executions.
+            assert calls[1] - calls[0] >= 0.1
+            assert calls[2] - calls[1] >= 0.2
         finally:
             service.close()
 
@@ -222,18 +331,20 @@ class TestJobEvents:
 
     def test_long_poll_wakes_on_emit(self, idle):
         job = idle.client.submit(_request())["job"]
-        events = idle.scheduler.events
 
-        def emit_soon():
+        def claim_soon():
             time.sleep(0.1)
-            events.emit(job["id"], "stage", stage="train", seconds=1.0)
+            # Another connection, as a worker process would have.
+            with JobStore(idle.path) as worker_store:
+                worker_store.claim_next(worker_id="w-other")
 
-        threading.Thread(target=emit_soon, daemon=True).start()
+        threading.Thread(target=claim_soon, daemon=True).start()
         start = time.monotonic()
         response = idle.client.events(job["id"], since=0, timeout=10.0)
         elapsed = time.monotonic() - start
-        assert [e["event"] for e in response["events"]] == ["stage"]
-        assert elapsed < 5.0  # woke on notify, not the timeout
+        assert [e["event"] for e in response["events"]] == ["started"]
+        assert response["events"][0]["worker"] == "w-other"
+        assert elapsed < 5.0  # woke on the new event, not the timeout
 
     def test_unknown_job_is_404(self, idle):
         with pytest.raises(ServeError) as excinfo:
@@ -245,25 +356,3 @@ class TestJobEvents:
         with pytest.raises(ServeError) as excinfo:
             idle.client._call("GET", f"/jobs/{job['id']}/events?since=nope")
         assert excinfo.value.status == 400
-
-
-class TestJobEventsUnit:
-    def test_per_job_ring_is_bounded(self):
-        from repro.serve.scheduler import JobEvents
-
-        log = JobEvents(per_job_limit=3)
-        for i in range(6):
-            log.emit("job", "stage", index=i)
-        events = log.since("job")
-        assert len(events) == 3
-        assert [event["index"] for event in events] == [3, 4, 5]
-        # Sequence numbers keep climbing across evictions.
-        assert [event["seq"] for event in events] == [4, 5, 6]
-
-    def test_forget_drops_the_log(self):
-        from repro.serve.scheduler import JobEvents
-
-        log = JobEvents()
-        log.emit("job", "started")
-        log.forget("job")
-        assert log.since("job") == []

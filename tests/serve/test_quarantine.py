@@ -142,7 +142,7 @@ class TestManualRequeue:
         _expire_once(store, job.id, 0, at=time.time())
         released, requeued = scheduler.requeue(job.id)
         assert requeued and released.state == QUEUED
-        events = scheduler.events.since(job.id)
+        events = store.events(job.id)
         assert any(
             e["event"] == "requeued" and e.get("reason") == "manual"
             for e in events

@@ -8,8 +8,10 @@ import time
 import pytest
 
 from repro.api import ExperimentRequest, ExperimentResult, RunOptions
-from repro.serve.scheduler import JobEvents, Scheduler
+from repro.serve.scheduler import Scheduler
 from repro.serve.store import CANCELLED, DONE, FAILED, JobStore, QUEUED
+
+from test_obs_endpoints import _Service  # sibling module, same dir
 
 
 def _request(rate: float = 0.9, experiment: str = "fig8") -> ExperimentRequest:
@@ -31,7 +33,7 @@ class CountingExecutor:
         self.started = started
         self._lock = threading.Lock()
 
-    def __call__(self, request, options, on_stage):
+    def __call__(self, request, options, on_stage, deadline=None):
         with self._lock:
             self.calls += 1
             call = self.calls
@@ -231,84 +233,39 @@ class TestLifecycle:
             scheduler.wait(job.id, timeout=0.05, poll=0.01)
 
 
-class TestJobEventsEviction:
-    """The events log must not grow without bound on a long-lived service."""
-
-    def test_terminal_log_evicted_after_grace(self):
-        events = JobEvents(terminal_grace=5.0)
-        events.emit("a", "done")
-        events.mark_terminal("a", now=time.time() - 10.0)  # grace already over
-        events.emit("b", "started")  # purge runs on the next emit
-        assert events.since("a") == []
-        assert events.tracked_jobs == 1
-
-    def test_terminal_log_readable_within_grace(self):
-        """Late long-pollers get a window to read the final event."""
-        events = JobEvents(terminal_grace=60.0)
-        events.emit("a", "done")
-        events.mark_terminal("a")
-        events.emit("b", "started")
-        assert [e["event"] for e in events.since("a")] == ["done"]
-
-    def test_max_jobs_cap_evicts_oldest(self):
-        events = JobEvents(max_jobs=3, terminal_grace=1000.0)
-        for index in range(5):
-            events.emit(f"job{index}", "started")
-        assert events.since("job0") == []  # oldest evicted
-        assert events.since("job4")  # newest kept
-        assert events.tracked_jobs <= 4  # cap enforced at next emit
-
-    def test_cap_prefers_evicting_terminal_logs(self):
-        events = JobEvents(max_jobs=2, terminal_grace=1000.0)
-        events.emit("live-old", "started")
-        events.emit("finished", "done")
-        events.mark_terminal("finished")
-        events.emit("live-new", "started")
-        events.emit("live-newer", "started")  # over cap: terminal goes first
-        assert events.since("finished") == []
-        assert events.since("live-old")  # older but live: survives
-
-    def test_per_job_ring_limit(self):
-        events = JobEvents(per_job_limit=3)
-        for index in range(5):
-            events.emit("a", f"stage{index}")
-        log = events.since("a")
-        assert [e["event"] for e in log] == ["stage2", "stage3", "stage4"]
-        assert log[-1]["seq"] == 5  # sequence numbers keep counting
-
-
 class TestCancelEvents:
     def test_cancel_emits_cancelled_event(self, store):
-        scheduler = _scheduler(store, CountingExecutor())  # never started
-        job, _ = scheduler.submit(_request())
-        cancelled_job, cancelled = scheduler.cancel(job.id)
+        job, _ = store.submit(_request())
+        cancelled_job, cancelled = store.cancel(job.id)
         assert cancelled
         assert cancelled_job.state == CANCELLED
-        assert [e["event"] for e in scheduler.events.since(job.id)] == [
-            "cancelled"
-        ]
+        assert [e["event"] for e in store.events(job.id)] == ["cancelled"]
 
     def test_cancel_noop_emits_nothing(self, store):
-        scheduler = _scheduler(store, CountingExecutor())
-        job, _ = scheduler.submit(_request())
-        scheduler.cancel(job.id)
-        scheduler.cancel(job.id)  # second cancel is a no-op
-        assert len(scheduler.events.since(job.id)) == 1
+        job, _ = store.submit(_request())
+        store.cancel(job.id)
+        store.cancel(job.id)  # second cancel is a no-op
+        assert len(store.events(job.id)) == 1
 
-    def test_long_poller_woken_by_cancel(self, store):
-        """The satellite fix: DELETE must not leave event streams hanging."""
-        scheduler = _scheduler(store, CountingExecutor())
-        job, _ = scheduler.submit(_request())
-        seen: list[dict] = []
-        poller = threading.Thread(
-            target=lambda: seen.extend(scheduler.events.wait(job.id, 0, 10.0))
-        )
-        poller.start()
-        time.sleep(0.1)
-        scheduler.cancel(job.id)
-        poller.join(timeout=10.0)
-        assert not poller.is_alive()
-        assert [e["event"] for e in seen] == ["cancelled"]
+    def test_long_poller_woken_by_cancel(self, tmp_path):
+        """DELETE must not leave event streams hanging."""
+        service = _Service(tmp_path, execute=CountingExecutor(), start=False)
+        try:
+            job = service.client.submit(_request())["job"]
+            seen: list[dict] = []
+            poller = threading.Thread(
+                target=lambda: seen.extend(
+                    service.client.events(job["id"], 0, 10.0)["events"]
+                )
+            )
+            poller.start()
+            time.sleep(0.1)
+            service.client.cancel(job["id"])
+            poller.join(timeout=10.0)
+            assert not poller.is_alive()
+            assert [e["event"] for e in seen] == ["cancelled"]
+        finally:
+            service.close()
 
 
 class TestRealPipeline:

@@ -62,9 +62,12 @@ class TestTraceEndpoint:
             for event in document["traceEvents"]
             if event["ph"] == "X"
         }
-        # The front-end's submit span and the scheduler's execute span both
-        # landed in the one merged document, plus the synthetic queue wait.
-        assert {"http.submit", "scheduler.execute", "queue.wait"} <= names
+        # The front-end's submit span and the worker thread's claim and
+        # execute spans all landed in the one merged document, plus the
+        # synthetic queue wait.
+        assert {
+            "http.submit", "worker.claim", "worker.execute", "queue.wait"
+        } <= names
         assert meta["queue_wait_s"] is not None
         assert meta["queue_wait_s"] >= 0.0
         assert meta["span_count"] >= 2

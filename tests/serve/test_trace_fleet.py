@@ -41,7 +41,7 @@ from repro.serve.worker import Worker
 db, worker_id = sys.argv[1], sys.argv[2]
 telemetry = ProcessTelemetry(db, worker_id=worker_id, snapshot_interval=0).start()
 
-def execute(req, options, on_stage):
+def execute(req, options, on_stage, deadline=None):
     on_stage("simulate", 0.01)
     return ExperimentResult(
         experiment=req.experiment, request=req, payload={}, summary="ok"
@@ -68,7 +68,7 @@ from repro.serve.worker import Worker
 db = sys.argv[1]
 telemetry = ProcessTelemetry(db, worker_id="w-doomed", snapshot_interval=0).start()
 
-def execute(req, options, on_stage):
+def execute(req, options, on_stage, deadline=None):
     print("executing", flush=True)
     time.sleep(600)
 
