@@ -1,13 +1,14 @@
-"""repro.analytic — the closed-form cost-model tier.
+"""repro.analytic — the fidelity knob and the cost model's column evaluator.
 
 Three pieces:
 
 * :mod:`repro.analytic.fidelity` — the :class:`Fidelity` enum and helpers;
   imported eagerly because the request layer depends on it at module load.
-* :mod:`repro.analytic.model` — vectorized closed-form estimators over
-  batched design-point grids.
-* :mod:`repro.analytic.validate` — the ``analytic-validate`` cross-validation
-  experiment with enforceable per-metric error bounds.
+* :mod:`repro.analytic.model` — the column evaluator: evaluates the
+  simulator's own formulas on numpy columns over batched design-point grids.
+* :mod:`repro.analytic.validate` — the ``analytic-validate`` experiment,
+  which bounds the summation-order difference between the column evaluator and
+  the instruction-stream walk.
 
 ``model`` and ``validate`` are exposed lazily: they import the explore and
 api layers, and ``api.request`` imports this package for the fidelity enum —

@@ -1,20 +1,22 @@
 """The fidelity knob: which cost-model tier evaluates a request.
 
-Every experiment that owns a ``simulate`` stage can run at one of three
-tiers, ordered fastest to most detailed:
+Every experiment that owns a ``simulate`` stage accepts one of three tiers.
+There is one cost model; the tiers choose how it is driven:
 
 ``analytic``
-    The closed-form vectorized cost model (:mod:`repro.analytic.model`).
-    Whole design grids evaluate in one batched numpy call — microseconds per
-    point instead of a full instruction-stream walk.  Cross-validated against
-    the simulator by the ``analytic-validate`` experiment.
+    The column evaluator (:mod:`repro.analytic.model`): the simulator's
+    formulas evaluated on numpy columns, so whole design grids cost a few
+    batched calls — microseconds per point.  It differs from the walk only
+    in summation order, which the ``analytic-validate`` experiment bounds.
+    Sweeps use it; fig8/fig9 run the walk at every tier.
 ``vectorized``
-    The layer-level instruction-stream simulator with vectorized kernels —
-    the default, and the tier every seed result was produced at.
+    The layer-level instruction-stream walk
+    (``AcceleratorSimulator.run_program``) — the default, and the tier every
+    seed result was produced at.
 ``scalar``
-    The same simulator forced onto the serial, in-process reference path
-    (and the scalar PE backend where a PE-level component runs).  Numerically
-    identical to ``vectorized``; kept as the slow trust anchor.
+    Accepted, validated and hashed like the others, and runs the default
+    engine.  Serial execution is a run option (``--serial`` /
+    ``RunOptions(parallel=False)``), not a tier.
 
 The knob lives on :class:`~repro.api.request.ExperimentRequest` — it changes
 the provenance (and, within the error bounds, potentially the value) of the

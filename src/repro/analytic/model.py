@@ -1,28 +1,30 @@
-"""Vectorized closed-form cost model — the ``analytic`` fidelity tier.
+"""Batched evaluation of the cost model — the ``analytic`` fidelity tier.
 
-The layer-level simulator (:mod:`repro.arch.accelerator`) already computes
-every quantity from closed-form expected-value counts; what makes it slow at
-survey scale is walking the instruction stream point by point in Python.
-This module re-states the exact same arithmetic as batched numpy expressions
-over *(design point, layer)* arrays, so a whole design grid — millions of
-(workload, architecture, density) points — evaluates in a handful of
-vectorized calls.
+The simulator's formulas — the step counts of :mod:`repro.dataflow.counts`,
+the machine model of :mod:`repro.arch.accelerator`, the weight tiling of
+:mod:`repro.arch.buffer`, :func:`~repro.arch.energy.energy_from_events` and
+:func:`~repro.arch.area.estimate_area` — are plain arithmetic on the
+attributes they read.  This module holds none of its own.  It evaluates
+those formulas on numpy columns instead of one layer's Python numbers, so a
+whole design grid — millions of (workload, architecture, density) points —
+costs a handful of vectorized calls instead of one instruction-stream walk
+per point.  What is here is batching:
 
-The replication is deliberately formula-for-formula:
+* columnar grids whose attribute names match what the formulas read:
+  :class:`LayerGeometry` (``ConvLayerSpec``'s names, ``(layers,)``),
+  :class:`DensityGrid` (``LayerDensities``'s, broadcastable to
+  ``(points, layers)``), :class:`ArchGrid` (``ArchConfig``'s, ``(points,
+  1)``) and :class:`EnergyGrid` (``EnergyModel``'s, ``(points, 1)``);
+* the column evaluator :func:`estimate_batch`, which does what
+  ``AcceleratorSimulator.run_program`` does for one point — weight loads
+  before the FORWARD and GTA steps, per-step ``max(compute, dram)``, sums
+  over layers and steps — streaming one step's columns at a time;
+* chunking and :class:`~repro.explore.engine.EvaluationRecord` building for
+  design-point lists and full grids.
 
-* per-step operand/traffic counts mirror :mod:`repro.dataflow.counts`
-  (including the grouped-convolution fan-in/fan-out and the compressed-format
-  word costs);
-* the machine model mirrors ``AcceleratorSimulator.run_program``: per-batch
-  weight-tile amortisation (:meth:`GlobalBuffer.weight_tiling_factor`), the
-  GTW weight-gradient write-back divided by the batch size, double-buffered
-  ``max(compute, dram)`` step latency, and the same energy accounting.
-
-Because both paths are closed-form, the analytic tier agrees with the
-simulator to floating-point summation order (relative error ~1e-12; see
-``repro.analytic.validate`` for the enforced bounds).  Aggregates are summed
-with numpy instead of Python-loop order, which is the only source of
-disagreement.
+Both evaluators run the same formulas, so they differ only in summation
+order (numpy reductions over layers vs the walk's Python loop) and in the
+last ulp of ``pow``; ``repro.analytic.validate`` bounds that at 1e-9.
 
 Cache keys: analytic records are :class:`EvaluationRecord` objects whose
 ``key`` is the point's simulator key salted with ``fidelity=analytic``
@@ -32,22 +34,29 @@ Cache keys: analytic records are :class:`EvaluationRecord` objects whose
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.arch.area import AreaModel, estimate_area
-from repro.arch.config import ArchConfig, dense_baseline_config, sparsetrain_config
-from repro.arch.energy import (
-    EnergyModel,
-    EventCounts,
-    default_energy_model,
-    energy_from_events,
+from repro.arch.accelerator import (
+    compute_cycles,
+    dram_cycles,
+    dram_words,
+    store_dram_words,
+    weight_dram_words,
 )
-from repro.arch.results import SimulationResult, StepResult
-from repro.dataflow.counts import LayerDensities, StepKind, compressed_words, skip_factor
+from repro.arch.area import estimate_area
+from repro.arch.buffer import weight_tiling_factor
+from repro.arch.config import (
+    BYTES_PER_WORD,
+    ArchConfig,
+    dense_baseline_config,
+    sparsetrain_config,
+)
+from repro.arch.energy import EnergyModel, EventCounts, default_energy_model, energy_from_events
+from repro.dataflow.counts import STEP_COUNTS, StepCounts, StepKind
 from repro.explore.engine import (
     NATURAL_ACTIVATION_DENSITY,
     NATURAL_GRADIENT_DENSITY,
@@ -59,8 +68,6 @@ from repro.models.spec import ModelSpec
 from repro.models.zoo import get_model_spec
 from repro.obs import metrics
 from repro.pruning.threshold import expected_density_after_pruning
-from repro.sim.runner import WorkloadJob, WorkloadResult
-from repro.arch.results import ComparisonResult
 
 # Evaluate workload groups in bounded slabs so million-point sweeps stay in a
 # few MB of (chunk, layers) scratch instead of materialising (N, layers).
@@ -68,23 +75,23 @@ CHUNK_POINTS = 32768
 
 
 # ---------------------------------------------------------------------------
-# Geometry: one ModelSpec as per-layer numpy arrays
+# Columnar grids
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LayerGeometry:
-    """Per-layer geometry of one model as ``(L,)`` arrays (batch axis free).
+    """Per-layer geometry of one model as ``(L,)`` columns.
 
-    Everything here is density-independent; the density- and
-    architecture-dependent factors broadcast against these arrays with a
-    leading point axis.
+    The fields are the :class:`~repro.models.spec.ConvLayerSpec` attributes
+    the count and tiling formulas read, so a geometry passes as their
+    ``layer``.  ``has_relu_mask`` is a 0/1 column.
     """
 
     names: tuple[str, ...]
     kernel: np.ndarray
+    padding: np.ndarray
     in_width: np.ndarray
     in_height: np.ndarray
-    padded_width: np.ndarray
     out_width: np.ndarray
     out_height: np.ndarray
     in_channels: np.ndarray
@@ -94,7 +101,7 @@ class LayerGeometry:
     weight_count: np.ndarray
     input_size: np.ndarray
     output_size: np.ndarray
-    has_relu_mask: np.ndarray  # float 0/1 — multiplies straight into formulas
+    has_relu_mask: np.ndarray
 
     @property
     def num_layers(self) -> int:
@@ -103,75 +110,38 @@ class LayerGeometry:
     @classmethod
     def from_spec(cls, spec: ModelSpec) -> "LayerGeometry":
         layers = spec.conv_layers
-
-        def arr(values, dtype=np.float64):
-            return np.asarray(values, dtype=dtype)
-
-        return cls(
-            names=tuple(layer.name for layer in layers),
-            kernel=arr([l.kernel for l in layers]),
-            in_width=arr([l.in_width for l in layers]),
-            in_height=arr([l.in_height for l in layers]),
-            padded_width=arr([l.in_width + 2 * l.padding for l in layers]),
-            out_width=arr([l.out_width for l in layers]),
-            out_height=arr([l.out_height for l in layers]),
-            in_channels=arr([l.in_channels for l in layers]),
-            out_channels=arr([l.out_channels for l in layers]),
-            group_in_channels=arr([l.group_in_channels for l in layers]),
-            group_out_channels=arr([l.group_out_channels for l in layers]),
-            weight_count=arr([l.weight_count for l in layers]),
-            input_size=arr([l.input_size for l in layers]),
-            output_size=arr([l.output_size for l in layers]),
-            has_relu_mask=arr([1.0 if l.has_relu_mask else 0.0 for l in layers]),
-        )
+        columns = {
+            field.name: np.asarray([float(getattr(layer, field.name)) for layer in layers])
+            for field in fields(cls)
+            if field.name != "names"
+        }
+        return cls(names=tuple(layer.name for layer in layers), **columns)
 
 
 @lru_cache(maxsize=None)
-def workload_geometry(model: str, dataset: str) -> tuple[ModelSpec, LayerGeometry]:
-    """Memoized ``(spec, geometry)`` for one registered workload."""
-    spec = get_model_spec(model, dataset)
-    return spec, LayerGeometry.from_spec(spec)
+def workload_geometry(model: str, dataset: str) -> LayerGeometry:
+    """Memoized geometry of one registered workload."""
+    return LayerGeometry.from_spec(get_model_spec(model, dataset))
 
-
-# ---------------------------------------------------------------------------
-# Densities: (point, layer) operand-density arrays
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Operand densities as arrays broadcastable to ``(points, layers)``."""
+    """Operand densities broadcastable to ``(points, layers)``.
 
-    input: np.ndarray
-    grad_output: np.ndarray
-    mask: np.ndarray
-    grad_input: np.ndarray
-    output: np.ndarray
+    The fields are the :class:`~repro.dataflow.counts.LayerDensities` names,
+    so a grid passes as the formulas' ``densities``.
+    """
+
+    input_density: np.ndarray
+    grad_output_density: np.ndarray
+    mask_density: np.ndarray
+    grad_input_density: np.ndarray
+    output_density: np.ndarray
 
     @classmethod
     def dense(cls) -> "DensityGrid":
         one = np.float64(1.0)
-        return cls(input=one, grad_output=one, mask=one, grad_input=one, output=one)
-
-    @classmethod
-    def from_layer_densities(
-        cls, geometry: LayerGeometry, densities: Mapping[str, LayerDensities] | None
-    ) -> "DensityGrid":
-        """``(L,)`` grid from a per-layer density map (missing layers: dense).
-
-        Mirrors the compiler's ``_densities_for`` fallback so a map that only
-        covers some layers produces identical counts on both paths.
-        """
-        per_layer = [
-            (densities or {}).get(name, LayerDensities.dense())
-            for name in geometry.names
-        ]
-        return cls(
-            input=np.asarray([d.input_density for d in per_layer]),
-            grad_output=np.asarray([d.grad_output_density for d in per_layer]),
-            mask=np.asarray([d.mask_density for d in per_layer]),
-            grad_input=np.asarray([d.grad_input_density for d in per_layer]),
-            output=np.asarray([d.output_density for d in per_layer]),
-        )
+        return cls(one, one, one, one, one)
 
     @classmethod
     def from_pruning_rates(
@@ -193,30 +163,37 @@ class DensityGrid:
             grad[rates == rate] = expected_density_after_pruning(
                 float(rate), natural_grad_density
             )
-        num_layers = geometry.num_layers
-        input_density = np.full((rates.size, num_layers), activation_density)
+        input_density = np.full((rates.size, geometry.num_layers), activation_density)
         # The first convolution reads the raw (dense) image — the
         # ``dense_first_layer_input`` behaviour of ``uniform_densities``.
         input_density[:, 0] = 1.0
         return cls(
-            input=input_density,
-            grad_output=grad[:, None],
-            mask=np.float64(activation_density),
-            grad_input=np.minimum(1.0, grad * 2.0)[:, None],
-            output=np.float64(activation_density),
+            input_density=input_density,
+            grad_output_density=grad[:, None],
+            mask_density=np.float64(activation_density),
+            grad_input_density=np.minimum(1.0, grad * 2.0)[:, None],
+            output_density=np.float64(activation_density),
         )
 
 
-# ---------------------------------------------------------------------------
-# Architecture and energy constants as (N, 1) column arrays
-# ---------------------------------------------------------------------------
+def _columns(cls, objects: Sequence) -> object:
+    """``cls`` built from the same-named attributes of ``objects``, as ``(N, 1)``."""
+    return cls(
+        **{
+            field.name: np.asarray(
+                [getattr(obj, field.name) for obj in objects], dtype=np.float64
+            )[:, None]
+            for field in fields(cls)
+        }
+    )
+
 
 @dataclass(frozen=True)
 class ArchGrid:
-    """Per-point :class:`ArchConfig` fields as ``(N, 1)`` column arrays."""
+    """The :class:`ArchConfig` attributes the formulas read, as ``(N, 1)`` columns."""
 
     num_pes: np.ndarray
-    pes_per_group: np.ndarray
+    num_groups: np.ndarray
     kernel_size: np.ndarray
     clock_ghz: np.ndarray
     buffer_kib: np.ndarray
@@ -229,27 +206,12 @@ class ArchGrid:
 
     @classmethod
     def from_configs(cls, configs: Sequence[ArchConfig]) -> "ArchGrid":
-        def col(values) -> np.ndarray:
-            return np.asarray(values, dtype=np.float64)[:, None]
-
-        return cls(
-            num_pes=col([c.num_pes for c in configs]),
-            pes_per_group=col([c.pes_per_group for c in configs]),
-            kernel_size=col([c.kernel_size for c in configs]),
-            clock_ghz=col([c.clock_ghz for c in configs]),
-            buffer_kib=col([c.buffer_kib for c in configs]),
-            buffer_words=col([c.buffer_words for c in configs]),
-            dram_words_per_cycle=col([c.dram_words_per_cycle for c in configs]),
-            pe_utilization=col([c.pe_utilization for c in configs]),
-            weight_reload_overhead=col([c.weight_reload_overhead for c in configs]),
-            sync_cycles_per_layer=col([c.sync_cycles_per_layer for c in configs]),
-            batch_size=col([c.batch_size for c in configs]),
-        )
+        return _columns(cls, configs)
 
 
 @dataclass(frozen=True)
 class EnergyGrid:
-    """Per-point :class:`EnergyModel` constants as ``(N, 1)`` column arrays."""
+    """Per-point :class:`EnergyModel` constants as ``(N, 1)`` columns."""
 
     mac_pj: np.ndarray
     reg_pj: np.ndarray
@@ -259,247 +221,50 @@ class EnergyGrid:
 
     @classmethod
     def from_models(cls, models: Sequence[EnergyModel]) -> "EnergyGrid":
-        def col(values) -> np.ndarray:
-            return np.asarray(values, dtype=np.float64)[:, None]
-
-        return cls(
-            mac_pj=col([m.mac_pj for m in models]),
-            reg_pj=col([m.reg_pj for m in models]),
-            sram_pj=col([m.sram_pj for m in models]),
-            dram_pj=col([m.dram_pj for m in models]),
-            leakage_pj_per_cycle=col([m.leakage_pj_per_cycle for m in models]),
-        )
+        return _columns(cls, models)
 
 
 # ---------------------------------------------------------------------------
-# Step counts + machine model
-# ---------------------------------------------------------------------------
-
-def _forward_arrays(g: LayerGeometry, d: DensityGrid, sparse: bool) -> dict[str, Any]:
-    """Vectorized :func:`repro.dataflow.counts.forward_counts`."""
-    row_ops = g.out_channels * g.out_height * g.group_in_channels * g.kernel
-    if sparse:
-        processed_per_op = g.in_width * d.input
-        input_read = row_ops * compressed_words(processed_per_op)
-        output_write = compressed_words(g.output_size * d.output)
-        dram_read = compressed_words(g.input_size * d.input)
-    else:
-        processed_per_op = g.padded_width
-        input_read = row_ops * g.padded_width
-        output_write = g.output_size
-        dram_read = g.input_size
-    processed = row_ops * processed_per_op
-    macs = processed * g.kernel
-    weight_loads = row_ops * g.kernel
-    psum_write = g.out_channels * g.out_height * g.out_width
-    return {
-        "row_ops": row_ops,
-        "processed": processed,
-        "macs": macs,
-        "weight_loads": weight_loads,
-        "reg": 2.0 * macs + processed,
-        "sram_read": input_read + weight_loads,
-        "sram_write": psum_write + output_write,
-        "dram_read": dram_read,
-        "store": output_write,
-    }
-
-
-def _gta_arrays(g: LayerGeometry, d: DensityGrid, sparse: bool) -> dict[str, Any]:
-    """Vectorized :func:`repro.dataflow.counts.gta_counts`."""
-    row_ops = g.in_channels * g.in_height * g.group_out_channels * g.kernel
-    if sparse:
-        d_grad = d.grad_output
-        # Mask skipping only exists behind a ReLU; ``has_relu_mask`` selects
-        # the layer's mask density or 1.0 (the ``d_mask`` gate in gta_counts).
-        d_mask = g.has_relu_mask * d.mask + (1.0 - g.has_relu_mask) * 1.0
-        grad_row_nnz = g.out_width * d_grad
-        grad_read = row_ops * compressed_words(grad_row_nnz)
-        mask_read = g.has_relu_mask * row_ops * (g.in_width * d_mask) / 2.0
-        grad_input_write = compressed_words(g.input_size * d.grad_input)
-        dram_read = compressed_words(g.output_size * d_grad)
-    else:
-        d_grad = np.float64(1.0)
-        d_mask = np.float64(1.0)
-        grad_row_nnz = g.out_width * d_grad
-        grad_read = row_ops * g.out_width
-        mask_read = np.float64(0.0)
-        grad_input_write = g.input_size
-        dram_read = g.output_size
-    processed = row_ops * (grad_row_nnz * skip_factor(d_mask, g.kernel))
-    macs = row_ops * grad_row_nnz * g.kernel * d_mask
-    weight_loads = row_ops * g.kernel
-    psum_write = g.in_channels * g.in_height * g.in_width
-    return {
-        "row_ops": row_ops,
-        "processed": processed,
-        "macs": macs,
-        "weight_loads": weight_loads,
-        "reg": 2.0 * macs + processed,
-        "sram_read": grad_read + mask_read + weight_loads,
-        "sram_write": psum_write + grad_input_write,
-        "dram_read": dram_read,
-        "store": grad_input_write,
-    }
-
-
-def _gtw_arrays(g: LayerGeometry, d: DensityGrid, sparse: bool) -> dict[str, Any]:
-    """Vectorized :func:`repro.dataflow.counts.gtw_counts`."""
-    row_ops = g.out_channels * g.group_in_channels * g.kernel * g.out_height
-    if sparse:
-        d_in, d_grad = d.input, d.grad_output
-        input_row_length = g.in_width
-        input_read = row_ops * compressed_words(input_row_length * d_in)
-        grad_read = row_ops * compressed_words(g.out_width * d_grad)
-        dram_read = compressed_words(g.input_size * d_in) + compressed_words(
-            g.output_size * d_grad
-        )
-    else:
-        d_in = d_grad = np.float64(1.0)
-        input_row_length = g.padded_width
-        input_read = row_ops * g.padded_width
-        grad_read = row_ops * g.out_width
-        dram_read = g.input_size + g.output_size
-    processed = row_ops * (input_row_length * d_in * skip_factor(d_grad, g.kernel))
-    macs = row_ops * input_row_length * d_in * g.kernel * d_grad
-    return {
-        "row_ops": row_ops,
-        "processed": processed,
-        "macs": macs,
-        # OSRC caches dO rows in Reg-1; no separate kernel-row loads.
-        "weight_loads": np.float64(0.0),
-        "reg": 2.0 * macs + processed,
-        "sram_read": input_read + grad_read,
-        "sram_write": g.weight_count,
-        "dram_read": dram_read,
-        "store": g.weight_count,
-    }
-
-
-def _weight_tiling(
-    g: LayerGeometry, d: DensityGrid, arch: ArchGrid, sparse: bool
-) -> np.ndarray:
-    """Vectorized :meth:`GlobalBuffer.weight_tiling_factor` — ``(N, L)``."""
-    if sparse:
-        activation_words = (
-            g.input_size * d.input * 1.5 + g.output_size * d.output * 1.5
-        )
-    else:
-        activation_words = g.input_size + g.output_size
-    weight_space = np.minimum(g.weight_count, arch.buffer_words / 2.0)
-    available = arch.buffer_words - weight_space
-    return np.where(
-        activation_words <= available,
-        1.0,
-        np.ceil(activation_words / available),
-    )
-
-
-def _step_arrays(
-    geometry: LayerGeometry,
-    densities: DensityGrid,
-    arch: ArchGrid,
-    sparse: bool,
-) -> dict[StepKind, dict[str, np.ndarray]]:
-    """Per-(point, layer) step quantities, machine model applied.
-
-    Returns, per training step, arrays broadcast to ``(N, L)`` for: counts
-    (``processed``/``macs``/...), the DRAM weight-tile and store words, and
-    the resulting ``compute``/``dram_cycles``/``cycles``/``dram_words``.
-    """
-    tiling = _weight_tiling(geometry, densities, arch, sparse)
-    # Weights are fetched once per batch iteration (one LoadWeights before
-    # the FORWARD and one before the GTA step); the GTW step reuses the
-    # operands already streaming for its gradient rows.
-    amortized_weights = geometry.weight_count * tiling / arch.batch_size
-    steps = {
-        StepKind.FORWARD: _forward_arrays(geometry, densities, sparse),
-        StepKind.GTA: _gta_arrays(geometry, densities, sparse),
-        StepKind.GTW: _gtw_arrays(geometry, densities, sparse),
-    }
-    weight_words = {
-        StepKind.FORWARD: amortized_weights,
-        StepKind.GTA: amortized_weights,
-        StepKind.GTW: np.float64(0.0),
-    }
-    shape = np.broadcast_shapes(
-        tiling.shape, (geometry.num_layers,), arch.num_pes.shape
-    )
-    operand_rate = arch.num_pes * arch.pe_utilization
-    count_fields = (
-        "row_ops",
-        "processed",
-        "macs",
-        "weight_loads",
-        "reg",
-        "sram_read",
-        "sram_write",
-        "dram_read",
-    )
-    for kind, step in steps.items():
-        for field in count_fields:
-            step[field] = np.broadcast_to(
-                np.asarray(step[field], dtype=np.float64), shape
-            )
-        store = step["store"]
-        if kind is StepKind.GTW:
-            # Weight gradients accumulate on chip over the whole batch and
-            # are written back once per iteration.
-            store = store / arch.batch_size
-        compute = (
-            step["processed"] / operand_rate
-            + step["weight_loads"] * arch.weight_reload_overhead / arch.num_pes
-            + arch.sync_cycles_per_layer
-        )
-        # ``run_program`` computes the read+weight transfer first and folds
-        # the output store in afterwards — same two-term float expression.
-        dram_cycles = (
-            step["dram_read"] + weight_words[kind]
-        ) / arch.dram_words_per_cycle + store / arch.dram_words_per_cycle
-        step["weight_words"] = np.broadcast_to(
-            np.asarray(weight_words[kind], dtype=np.float64), shape
-        )
-        step["store_words"] = np.broadcast_to(np.asarray(store, dtype=np.float64), shape)
-        step["compute"] = np.broadcast_to(compute, shape)
-        step["dram_cycles"] = np.broadcast_to(dram_cycles, shape)
-        step["cycles"] = np.maximum(step["compute"], step["dram_cycles"])
-        step["dram_words"] = np.broadcast_to(
-            (step["dram_read"] + weight_words[kind]) + store, shape
-        )
-        step["sram_words"] = np.broadcast_to(
-            step["sram_read"] + step["sram_write"], shape
-        )
-    return steps
-
-
-# ---------------------------------------------------------------------------
-# Batched metric schema (mirrors SimulationResult's aggregates)
+# The column evaluator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AnalyticMetrics:
-    """Per-point totals of one training iteration — all ``(N,)`` arrays.
-
-    The fields mirror :class:`~repro.arch.results.SimulationResult`'s
-    aggregates (``total_cycles``, ``latency_us``, ``energy_uj``,
-    ``total_macs``, ``total_sram_words``, ``total_dram_words``) plus the
-    underlying operand counts for deeper analyses.
-    """
+    """Per-point totals of one training iteration — ``(N,)`` arrays."""
 
     cycles: np.ndarray
     latency_us: np.ndarray
     energy_uj: np.ndarray
-    macs: np.ndarray
-    row_ops: np.ndarray
-    processed_operands: np.ndarray
-    weight_loads: np.ndarray
-    reg_accesses: np.ndarray
-    sram_words: np.ndarray
-    dram_words: np.ndarray
 
-    @property
-    def num_points(self) -> int:
-        return int(np.asarray(self.cycles).size)
+    def take(self, index) -> "AnalyticMetrics":
+        """The metrics of the points at ``index`` (fancy indexing repeats rows)."""
+        return AnalyticMetrics(self.cycles[index], self.latency_us[index], self.energy_uj[index])
+
+
+def _layer_sum(column) -> np.ndarray:
+    # keepdims: a (points, 1) total broadcasts against the (N, 1) grids
+    # element-wise, where a (points,) one would silently make (N, N).
+    return np.sum(column, axis=-1, keepdims=True)
+
+
+def _step_totals(counts: StepCounts, loaded_weights, arch: ArchGrid) -> EventCounts:
+    """One step's events summed over layers, as ``(points, 1)`` columns.
+
+    The step's ``(N, L)`` columns live only in this frame, so they are freed
+    before the next step's are built.
+    """
+    # The compiler loads a layer's weights before its FORWARD and its GTA
+    # step; GTW reuses the operands already streaming for its gradient rows.
+    weights = 0.0 if counts.step is StepKind.GTW else loaded_weights
+    store = store_dram_words(counts.dram_write_words, counts.step, arch)
+    cycles = np.maximum(compute_cycles(counts, arch), dram_cycles(counts, weights, store, arch))
+    return EventCounts(
+        macs=_layer_sum(counts.macs),
+        reg_accesses=_layer_sum(counts.reg_accesses),
+        sram_words=_layer_sum(counts.sram_words),
+        dram_words=_layer_sum(dram_words(counts, weights, store)),
+        cycles=_layer_sum(cycles),
+    )
 
 
 def estimate_batch(
@@ -514,92 +279,61 @@ def estimate_batch(
     ``densities`` broadcasts to ``(N, L)`` against the ``(N, 1)`` columns of
     ``arch``/``energy``; the dense path (``sparse=False``) ignores the
     density grid entirely, exactly like compiling with ``sparse=False``.
+    Steps are evaluated one at a time and folded into per-point totals, so
+    peak memory is one step's ``(N, L)`` columns.
     """
-    steps = _step_arrays(geometry, densities, arch, sparse)
-
-    def total(field: str) -> np.ndarray:
-        return sum(np.sum(step[field], axis=-1) for step in steps.values())
-
-    cycles = total("cycles")
-    latency_us = cycles / (arch.clock_ghz[:, 0] * 1e3)
-    macs = total("macs")
-    reg = total("reg")
-    sram = total("sram_words")
-    dram = total("dram_words")
-    energy_pj = (
-        macs * energy.mac_pj[:, 0]
-        + reg * energy.reg_pj[:, 0]
-        + sram * energy.sram_pj[:, 0]
-        + dram * energy.dram_pj[:, 0]
-        + cycles * energy.leakage_pj_per_cycle[:, 0]
+    loaded = weight_dram_words(
+        geometry.weight_count,
+        weight_tiling_factor(geometry, densities, arch.buffer_words, sparse),
+        arch,
     )
+    totals = EventCounts()
+    for step_counts in STEP_COUNTS.values():
+        totals = totals + _step_totals(step_counts(geometry, densities, sparse), loaded, arch)
     return AnalyticMetrics(
-        cycles=cycles,
-        latency_us=latency_us,
-        energy_uj=energy_pj * 1e-6,
-        macs=macs,
-        row_ops=total("row_ops"),
-        processed_operands=total("processed"),
-        weight_loads=total("weight_loads"),
-        reg_accesses=reg,
-        sram_words=sram,
-        dram_words=dram,
+        cycles=totals.cycles[:, 0],
+        latency_us=(totals.cycles / (arch.clock_ghz * 1e3))[:, 0],
+        energy_uj=energy_from_events(totals, energy).total_uj[:, 0],
     )
 
 
-@dataclass(frozen=True)
-class AnalyticComparison:
-    """SparseTrain vs dense baseline over a batch — ``(N,)`` arrays throughout."""
-
-    sparse: AnalyticMetrics
-    baseline: AnalyticMetrics
-    speedup: np.ndarray
-    energy_efficiency: np.ndarray
-    area_mm2: np.ndarray
-
-
-def area_mm2_batch(arch: ArchGrid, model: AreaModel | None = None) -> np.ndarray:
-    """Vectorized :func:`repro.arch.area.estimate_area` totals — ``(N,)``."""
-    model = model if model is not None else AreaModel()
-    num_pes = arch.num_pes[:, 0]
-    kernel = arch.kernel_size[:, 0]
-    macs = num_pes * kernel
-    # Reg-1 holds one kernel row, Reg-2 a 64-word partial-sum row per PE
-    # (the _REG{1,2}_WORDS_PER_PE constants of the area module).
-    register_words = num_pes * (1 * kernel + 64)
-    num_groups = np.floor(arch.num_pes[:, 0] / arch.pes_per_group[:, 0])
-    return (
-        macs * model.mac_mm2
-        + register_words * model.register_word_mm2
-        + num_groups * model.ppu_mm2
-        + model.controller_mm2
-        + arch.buffer_kib[:, 0] * model.sram_mm2_per_kib
-    )
-
-
-def compare_batch(
-    geometry: LayerGeometry,
-    densities: DensityGrid,
-    sparse_arch: ArchGrid,
-    baseline_arch: ArchGrid,
-    energy: EnergyGrid,
-    area_model: AreaModel | None = None,
-) -> AnalyticComparison:
-    """Batched counterpart of :func:`repro.sim.runner.compare_workload`."""
-    sparse = estimate_batch(geometry, densities, sparse_arch, energy, sparse=True)
-    baseline = estimate_batch(
-        geometry, DensityGrid.dense(), baseline_arch, energy, sparse=False
-    )
+def _records(
+    keys: Sequence[str],
+    model: str,
+    dataset: str,
+    rates: Sequence[float],
+    overrides: Sequence[tuple],
+    num_pes: Sequence[int],
+    buffer_kib: Sequence[int],
+    area_mm2: Sequence[float],
+    sparse: AnalyticMetrics,
+    baseline: AnalyticMetrics,
+) -> list[EvaluationRecord]:
+    """One record per point from per-point lists and both tiers' metrics."""
     with np.errstate(divide="ignore"):
         speedup = baseline.cycles / sparse.cycles
-        energy_efficiency = baseline.energy_uj / sparse.energy_uj
-    return AnalyticComparison(
-        sparse=sparse,
-        baseline=baseline,
-        speedup=speedup,
-        energy_efficiency=energy_efficiency,
-        area_mm2=area_mm2_batch(sparse_arch, area_model),
-    )
+        efficiency = baseline.energy_uj / sparse.energy_uj
+    # One C-level pass per metric column beats 100k numpy scalar extractions
+    # on the record-construction hot path; positional construction (field
+    # order asserted by the parity tests) sidesteps 14 keyword lookups per
+    # record.
+    return [
+        EvaluationRecord(key, model, dataset, rate, ov, pes, buf, lat, en, ar, blat, ben, sp, ee)
+        for key, rate, ov, pes, buf, lat, en, ar, blat, ben, sp, ee in zip(
+            keys,
+            rates,
+            overrides,
+            num_pes,
+            buffer_kib,
+            sparse.latency_us.tolist(),
+            sparse.energy_uj.tolist(),
+            area_mm2,
+            baseline.latency_us.tolist(),
+            baseline.energy_uj.tolist(),
+            speedup.tolist(),
+            efficiency.tolist(),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -646,53 +380,36 @@ def evaluate_points_analytic(
 
     records: dict[str, EvaluationRecord] = {}
     for (model, dataset), entries in groups.items():
-        _, geometry = workload_geometry(model, dataset)
+        geometry = workload_geometry(model, dataset)
         for start in range(0, len(entries), chunk_points):
-            chunk = entries[start : start + chunk_points]
-            chunk_points_list = [point for _, point in chunk]
-            sparse_configs = [p.sparse_config() for p in chunk_points_list]
-            rates = np.asarray([p.pruning_rate for p in chunk_points_list])
-            comparison = compare_batch(
-                geometry,
-                DensityGrid.from_pruning_rates(geometry, rates),
-                ArchGrid.from_configs(sparse_configs),
-                ArchGrid.from_configs(
-                    [p.baseline_config() for p in chunk_points_list]
-                ),
-                EnergyGrid.from_models([p.energy_model() for p in chunk_points_list]),
+            keys, chunk = zip(*entries[start : start + chunk_points])
+            configs = [point.sparse_config() for point in chunk]
+            rates = np.asarray([point.pruning_rate for point in chunk])
+            sparse_arch = ArchGrid.from_configs(configs)
+            energy = EnergyGrid.from_models([point.energy_model() for point in chunk])
+            sparse = estimate_batch(
+                geometry, DensityGrid.from_pruning_rates(geometry, rates), sparse_arch, energy
             )
-            # One C-level pass per metric column beats 100k numpy scalar
-            # extractions on the record-construction hot path; positional
-            # construction (field order asserted by the parity tests)
-            # sidesteps 14 keyword lookups per record.
-            for (key, point), config, rate, lat, en, ar, blat, ben, sp, ee in zip(
-                chunk,
-                sparse_configs,
+            baseline = estimate_batch(
+                geometry,
+                DensityGrid.dense(),
+                ArchGrid.from_configs([point.baseline_config() for point in chunk]),
+                energy,
+                sparse=False,
+            )
+            chunk_records = _records(
+                keys,
+                model,
+                dataset,
                 rates.tolist(),
-                comparison.sparse.latency_us.tolist(),
-                comparison.sparse.energy_uj.tolist(),
-                comparison.area_mm2.tolist(),
-                comparison.baseline.latency_us.tolist(),
-                comparison.baseline.energy_uj.tolist(),
-                comparison.speedup.tolist(),
-                comparison.energy_efficiency.tolist(),
-            ):
-                records[key] = EvaluationRecord(
-                    key,
-                    model,
-                    dataset,
-                    rate,
-                    point.overrides,
-                    config.num_pes,
-                    config.buffer_kib,
-                    lat,
-                    en,
-                    ar,
-                    blat,
-                    ben,
-                    sp,
-                    ee,
-                )
+                [point.overrides for point in chunk],
+                [config.num_pes for config in configs],
+                [config.buffer_kib for config in configs],
+                estimate_area(sparse_arch).total_mm2[:, 0].tolist(),
+                sparse,
+                baseline,
+            )
+            records.update(zip(keys, chunk_records))
     metrics().counter("analytic.points_evaluated").inc(len(unique))
     return [records[key] for key in unique]
 
@@ -729,7 +446,6 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
     path from the point-list path except by wall-clock.
     """
     n_rates = len(plan.rates)
-    n_buffers = len(plan.buffers)
     # ArchConfig validates num_pes (PE-count/group-size divisibility) and
     # buffer_kib independently, so validating each axis value once is
     # equivalent to validating every combo — 140 config builds instead of
@@ -745,252 +461,92 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
         for b in plan.buffers
     ]
 
-    pes_arr = np.asarray(plan.pes, dtype=np.int64)
-    buf_arr = np.asarray(plan.buffers, dtype=np.int64)
-    rate_arr = np.asarray(plan.rates, dtype=np.float64)
-    # Combo-level columns (one row per arch combo) and point-level columns
-    # (combo-major, rate-minor — points_for's row-major enumeration order).
-    num_pes_combo = np.repeat(pes_arr, n_buffers)
-    buffer_combo = np.tile(buf_arr, len(plan.pes))
-    num_pes_col = np.repeat(num_pes_combo, n_rates)
-    buffer_col = np.repeat(buffer_combo, n_rates)
-    rate_col = np.tile(rate_arr, len(arch_overrides))
+    # Combo-level columns (one row per arch combo); points run combo-major,
+    # rate-minor — points_for's row-major enumeration order.
+    num_pes_combo = np.repeat(np.asarray(plan.pes, dtype=np.int64), len(plan.buffers))
+    buffer_combo = np.tile(np.asarray(plan.buffers, dtype=np.int64), len(plan.pes))
+    combo_of_point = np.repeat(np.arange(len(arch_overrides)), n_rates)
+    rate_col = np.tile(np.asarray(plan.rates, dtype=np.float64), len(arch_overrides))
     n_points = rate_col.shape[0]
 
-    def arch_grid(base: ArchConfig, num_pes: np.ndarray, buffer_kib: np.ndarray) -> ArchGrid:
-        def scalar(value: float) -> np.ndarray:
-            return np.asarray([[float(value)]])
-
-        return ArchGrid(
-            num_pes=num_pes[:, None].astype(np.float64),
-            pes_per_group=scalar(base.pes_per_group),
-            kernel_size=scalar(base.kernel_size),
-            clock_ghz=scalar(base.clock_ghz),
-            buffer_kib=buffer_kib[:, None].astype(np.float64),
-            # buffer_kib * 1024 // BYTES_PER_WORD, exact for integer KiB.
-            buffer_words=buffer_kib[:, None].astype(np.float64) * 512.0,
-            dram_words_per_cycle=scalar(base.dram_words_per_cycle),
-            pe_utilization=scalar(base.pe_utilization),
-            weight_reload_overhead=scalar(base.weight_reload_overhead),
-            sync_cycles_per_layer=scalar(base.sync_cycles_per_layer),
-            batch_size=scalar(base.batch_size),
+    def arch_grid(base: ArchConfig, combos=slice(None)) -> ArchGrid:
+        """``base`` with the swept axes as columns (one row per ``combos``)."""
+        num_pes = num_pes_combo[combos, None].astype(np.float64)
+        buffer_kib = buffer_combo[combos, None].astype(np.float64)
+        return replace(
+            ArchGrid.from_configs([base]),
+            num_pes=num_pes,
+            num_groups=num_pes // base.pes_per_group,
+            buffer_kib=buffer_kib,
+            buffer_words=buffer_kib * 1024 // BYTES_PER_WORD,
         )
 
     sparse_base = sparsetrain_config()
-    baseline_base = dense_baseline_config()
     energy = EnergyGrid.from_models([default_energy_model()])
-    sparse_combo_grid = arch_grid(sparse_base, num_pes_combo, buffer_combo)
-    baseline_combo_grid = arch_grid(baseline_base, num_pes_combo, buffer_combo)
     # Area and the dense baseline depend on the arch combo but not on the
     # pruning rate: evaluate them once per combo and expand — per-row numpy
     # arithmetic is position-independent, so the expanded values are bit-
     # identical to evaluating the full (combo, rate) cross product.
-    area_combo = area_mm2_batch(sparse_combo_grid)
+    area_combo = estimate_area(arch_grid(sparse_base)).total_mm2[:, 0]
+    baseline_grid = arch_grid(dense_baseline_config())
     rate_list = rate_col.tolist()
-    num_pes_list = num_pes_col.tolist()
-    buffer_list = buffer_col.tolist()
+    num_pes_list = num_pes_combo[combo_of_point].tolist()
+    buffer_list = buffer_combo[combo_of_point].tolist()
+    area_list = area_combo[combo_of_point].tolist()
     # One overrides tuple and one repr per arch combo, expanded by reference;
     # key suffixes precomputed once so the per-record work is a single
     # C-level string concat instead of an f-string with two reprs.
     overrides_col = [ov for ov in arch_overrides for _ in range(n_rates)]
     ov_reprs = [repr(ov) for ov in arch_overrides]
-    rate_reprs = [repr(rate) for rate in rate_arr.tolist()[:n_rates]]
+    rate_reprs = [repr(rate) for rate in rate_list[:n_rates]]
     key_suffixes = [
-        f"{rate_repr}|{ov_repr}|()"
-        for ov_repr in ov_reprs
-        for rate_repr in rate_reprs
+        f"{rate_repr}|{ov_repr}|()" for ov_repr in ov_reprs for rate_repr in rate_reprs
     ]
-
-    area_col = np.repeat(area_combo, n_rates)
-    area_list = area_col.tolist()
 
     records: list[EvaluationRecord] = []
     for model, dataset in plan.workloads:
-        _, geometry = workload_geometry(model, dataset)
+        geometry = workload_geometry(model, dataset)
         prefix = f"analytic:{model}/{dataset}@"
         baseline = estimate_batch(
-            geometry, DensityGrid.dense(), baseline_combo_grid, energy, sparse=False
+            geometry, DensityGrid.dense(), baseline_grid, energy, sparse=False
         )
-        base_cycles_col = np.repeat(baseline.cycles, n_rates)
-        base_energy_col = np.repeat(baseline.energy_uj, n_rates)
-        base_lat_list = np.repeat(baseline.latency_us, n_rates).tolist()
-        base_en_list = base_energy_col.tolist()
         for lo in range(0, n_points, CHUNK_POINTS):
-            hi = min(lo + CHUNK_POINTS, n_points)
+            rows = slice(lo, min(lo + CHUNK_POINTS, n_points))
+            combos = combo_of_point[rows]
             sparse = estimate_batch(
                 geometry,
-                DensityGrid.from_pruning_rates(geometry, rate_col[lo:hi]),
-                arch_grid(sparse_base, num_pes_col[lo:hi], buffer_col[lo:hi]),
+                DensityGrid.from_pruning_rates(geometry, rate_col[rows]),
+                arch_grid(sparse_base, combos),
                 energy,
-                sparse=True,
             )
-            with np.errstate(divide="ignore"):
-                speedup = base_cycles_col[lo:hi] / sparse.cycles
-                energy_efficiency = base_energy_col[lo:hi] / sparse.energy_uj
             records.extend(
-                EvaluationRecord(
-                    prefix + suffix,
+                _records(
+                    [prefix + suffix for suffix in key_suffixes[rows]],
                     model,
                     dataset,
-                    rate,
-                    ov,
-                    n_pes,
-                    buf,
-                    lat,
-                    en,
-                    ar,
-                    blat,
-                    ben,
-                    sp,
-                    ee,
-                )
-                for suffix, rate, ov, n_pes, buf, lat, en, ar, blat, ben, sp, ee in zip(
-                    key_suffixes[lo:hi],
-                    rate_list[lo:hi],
-                    overrides_col[lo:hi],
-                    num_pes_list[lo:hi],
-                    buffer_list[lo:hi],
-                    sparse.latency_us.tolist(),
-                    sparse.energy_uj.tolist(),
-                    area_list[lo:hi],
-                    base_lat_list[lo:hi],
-                    base_en_list[lo:hi],
-                    speedup.tolist(),
-                    energy_efficiency.tolist(),
+                    rate_list[rows],
+                    overrides_col[rows],
+                    num_pes_list[rows],
+                    buffer_list[rows],
+                    area_list[rows],
+                    sparse,
+                    baseline.take(combos),
                 )
             )
     metrics().counter("analytic.points_evaluated").inc(len(records))
     return records
 
 
-# ---------------------------------------------------------------------------
-# WorkloadJob front end (the fig8/fig9 harness integration)
-# ---------------------------------------------------------------------------
-
-def analytic_simulation_result(
-    spec: ModelSpec,
-    densities: Mapping[str, LayerDensities] | None,
-    config: ArchConfig,
-    energy_model: EnergyModel | None = None,
-    sparse: bool = True,
-) -> SimulationResult:
-    """One workload on one configuration, materialized as a SimulationResult.
-
-    The single-point (``N=1``) analytic evaluation unpacked into per-(layer,
-    step) :class:`StepResult` entries in program order (forward pass, then
-    the backward pass layer-reversed with GTA before GTW), so every report
-    that slices a simulated result — latency tables, Fig. 9 energy
-    breakdowns, per-layer cycle attributions — works on the analytic tier
-    unchanged.
-    """
-    energy_model = energy_model if energy_model is not None else default_energy_model()
-    geometry = LayerGeometry.from_spec(spec)
-    grid = (
-        DensityGrid.from_layer_densities(geometry, densities)
-        if sparse
-        else DensityGrid.dense()
-    )
-    steps = _step_arrays(
-        geometry, grid, ArchGrid.from_configs([config]), sparse
-    )
-    result = SimulationResult(
-        config_name=config.name,
-        model_name=spec.name,
-        dataset=spec.dataset,
-        sparse=sparse,
-        clock_ghz=config.clock_ghz,
-    )
-
-    def append(kind: StepKind, layer_index: int) -> None:
-        step = steps[kind]
-        events = EventCounts(
-            macs=float(step["macs"][0, layer_index]),
-            reg_accesses=float(step["reg"][0, layer_index]),
-            sram_words=float(step["sram_words"][0, layer_index]),
-            dram_words=float(step["dram_words"][0, layer_index]),
-            cycles=float(step["cycles"][0, layer_index]),
-        )
-        result.steps.append(
-            StepResult(
-                layer_name=geometry.names[layer_index],
-                step=kind,
-                compute_cycles=float(step["compute"][0, layer_index]),
-                dram_cycles=float(step["dram_cycles"][0, layer_index]),
-                cycles=events.cycles,
-                events=events,
-                energy=energy_from_events(events, energy_model),
-            )
-        )
-
-    num_layers = geometry.num_layers
-    for index in range(num_layers):
-        append(StepKind.FORWARD, index)
-    for index in reversed(range(num_layers)):
-        append(StepKind.GTA, index)
-        append(StepKind.GTW, index)
-    return result
-
-
-def compare_workload_analytic(
-    spec: ModelSpec,
-    densities: Mapping[str, LayerDensities],
-    sparse_config: ArchConfig | None = None,
-    baseline_config: ArchConfig | None = None,
-    energy_model: EnergyModel | None = None,
-) -> WorkloadResult:
-    """Analytic-tier counterpart of :func:`repro.sim.runner.compare_workload`."""
-    sparse_config = sparse_config if sparse_config is not None else sparsetrain_config()
-    baseline_config = (
-        baseline_config if baseline_config is not None else dense_baseline_config()
-    )
-    comparison = ComparisonResult(
-        workload=f"{spec.name}/{spec.dataset}",
-        sparsetrain=analytic_simulation_result(
-            spec, densities, sparse_config, energy_model, sparse=True
-        ),
-        baseline=analytic_simulation_result(
-            spec, None, baseline_config, energy_model, sparse=False
-        ),
-    )
-    return WorkloadResult(spec=spec, densities=dict(densities), comparison=comparison)
-
-
-def run_workload_jobs_analytic(jobs: Sequence[WorkloadJob]) -> list[WorkloadResult]:
-    """Evaluate fig8/fig9-style workload jobs at the analytic tier."""
-    results = [
-        compare_workload_analytic(
-            job.spec,
-            job.densities,
-            sparse_config=job.sparse_config,
-            baseline_config=job.baseline_config,
-            energy_model=job.energy_model,
-        )
-        for job in jobs
-    ]
-    metrics().counter("analytic.points_evaluated").inc(len(results))
-    return results
-
-
-def evaluate_point_analytic(point: DesignPoint) -> EvaluationRecord:
-    """Single-point convenience wrapper over :func:`evaluate_points_analytic`."""
-    return evaluate_points_analytic([point])[0]
-
-
 __all__ = [
-    "AnalyticComparison",
+    "AnalyticGridPlan",
     "AnalyticMetrics",
     "ArchGrid",
     "DensityGrid",
     "EnergyGrid",
     "LayerGeometry",
     "analytic_point_key",
-    "analytic_simulation_result",
-    "area_mm2_batch",
-    "compare_batch",
-    "compare_workload_analytic",
     "estimate_batch",
-    "evaluate_point_analytic",
+    "evaluate_grid_analytic",
     "evaluate_points_analytic",
-    "run_workload_jobs_analytic",
     "workload_geometry",
 ]

@@ -1,20 +1,22 @@
-"""Cross-validation of the analytic tier against the simulator.
+"""Cross-validation of the analytic tier's column evaluator against the walk.
 
 The ``analytic-validate`` experiment samples a seeded grid of (workload,
-architecture, density) points, evaluates every point through *both* the
-closed-form model (:mod:`repro.analytic.model`) and the instruction-stream
-simulator, and reports the per-metric relative-error distribution against
-enforceable bounds.
+architecture, density) points, evaluates every point through *both* evaluators
+of the one cost model — the column evaluator (:mod:`repro.analytic.model`) and
+the instruction-stream walk (``AcceleratorSimulator.run_program``) — and
+reports the per-metric relative-error distribution against enforceable
+bounds.
 
 Error-bound policy
 ------------------
-Both paths compute the same closed-form expected values; the only admissible
-difference is floating-point summation order (numpy reductions vs Python-loop
-accumulation).  The default bound is therefore **1e-9 relative error on
-every metric** — not a modelling tolerance but a numerical-noise ceiling.
-Any violation means the two implementations have diverged structurally and
-must be treated as a bug, never widened away.  CI runs the smoke scale of
-this experiment and fails on ``payload["ok"] == False``.
+Both evaluators run the same formulas; the only admissible difference is
+floating-point summation order (numpy reductions vs Python-loop
+accumulation) and the last ulp of ``pow``.  The default bound is therefore
+**1e-9 relative error on every metric** — not a modelling tolerance but a
+numerical-noise ceiling.  A violation means an evaluator sums, orders or feeds
+the formulas differently and must be treated as a bug, never widened away.
+CI runs the smoke scale of this experiment and fails on
+``payload["ok"] == False``.
 
 Relative error is ``|analytic - simulated| / max(|simulated|, eps)`` with
 ``eps = 1e-12`` guarding exact zeros.

@@ -280,11 +280,10 @@ def fidelity_dispatch(
     The single dispatch point of the fidelity knob: an experiment's simulate
     stage calls this with its tier implementations, and the request's
     ``fidelity`` field picks one.  ``scalar`` falls back to ``vectorized``
-    when not given (the tiers are numerically identical; scalar is the
-    serial trust anchor, so an experiment without a dedicated serial path
-    simply runs the default one).  An experiment without an ``analytic``
-    implementation rejects that tier loudly — silently simulating at the
-    wrong tier would poison fidelity-salted caches.
+    when not given, which is how every built-in experiment runs it (serial
+    execution is a run option, not a tier).  An experiment without an
+    ``analytic`` implementation rejects that tier loudly — silently
+    simulating at the wrong tier would poison fidelity-salted caches.
     """
     from repro.analytic.fidelity import Fidelity, fidelity_of
 

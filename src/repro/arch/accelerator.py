@@ -8,12 +8,21 @@ into cycles and energy.  The model is deliberately explicit:
   operand rate (``num_pes * pe_utilization``; each PE consumes one operand per
   cycle and performs K MACs on it), plus the kernel-row reload overhead and a
   fixed per-step controller/drain cost.
-* **DRAM cycles** — the step's operand traffic plus the weight tile traffic,
-  divided by the DRAM bandwidth.  Transfers are double-buffered, so a step's
-  latency is ``max(compute, dram)``, not the sum.
+* **DRAM cycles** — the step's operand traffic, the weight tile traffic and
+  the step's output store, divided by the DRAM bandwidth.  Transfers are
+  double-buffered, so a step's latency is ``max(compute, dram)``, not the sum.
 * **Energy** — counted events (MACs, register accesses, SRAM words, DRAM
   words, elapsed cycles for leakage) multiplied by the per-event costs of the
   :class:`~repro.arch.energy.EnergyModel`.
+
+The per-step machine model is the module-level functions below.  They are
+plain arithmetic on the attributes they read, so they evaluate on one step's
+Python numbers (:meth:`AcceleratorSimulator.run_program`, the instruction-
+stream walk) and element-wise on numpy columns (the analytic tier,
+:func:`repro.analytic.model.estimate_batch`, passing an
+:class:`~repro.analytic.model.ArchGrid` for ``config``).  Only iteration and
+reduction differ between the two evaluators: the walk takes ``max`` and Python
+sums, the columns ``np.maximum`` and ``np.sum``.
 
 Running the same simulator on a program compiled with ``sparse=False`` and a
 :func:`~repro.arch.config.dense_baseline_config` models the Eyeriss-like dense
@@ -23,7 +32,7 @@ and Fig. 9 make.
 
 from __future__ import annotations
 
-from repro.arch.buffer import GlobalBuffer
+from repro.arch.buffer import GlobalBuffer, weight_tiling_factor
 from repro.arch.config import ArchConfig
 from repro.arch.dram import DRAM
 from repro.arch.energy import (
@@ -40,7 +49,49 @@ from repro.dataflow.instructions import (
     StepInstruction,
     StoreOutputInstruction,
 )
-from repro.models.spec import ConvLayerSpec
+
+
+# ----------------------------------------------------------------------
+# Per-step machine model
+# ----------------------------------------------------------------------
+
+def compute_cycles(counts: StepCounts, config: ArchConfig) -> float:
+    """Cycles the PE array needs for one step (no DRAM stalls)."""
+    operand_rate = config.num_pes * config.pe_utilization
+    work = counts.processed_operands / operand_rate
+    weight_reload = counts.weight_loads * config.weight_reload_overhead / config.num_pes
+    return work + weight_reload + config.sync_cycles_per_layer
+
+
+def weight_dram_words(load_words, tiling, config: ArchConfig) -> float:
+    """Per-sample DRAM words of a step's weight load.
+
+    Weights are fetched ``tiling`` times per batch iteration and reused for
+    every sample in the batch, so the per-sample share divides by the batch
+    size.
+    """
+    return load_words * tiling / config.batch_size
+
+
+def store_dram_words(words, step: StepKind | None, config: ArchConfig) -> float:
+    """Per-sample DRAM words of a step's output store.
+
+    Weight gradients (the GTW step's output) are accumulated on chip over the
+    whole batch and written back once per iteration, so their per-sample
+    share divides by the batch size.
+    """
+    return words / config.batch_size if step is StepKind.GTW else words
+
+
+def dram_cycles(counts: StepCounts, weight_words, store_words, config: ArchConfig) -> float:
+    """Cycles to stream a step's operands, weight tile and output store."""
+    bandwidth = config.dram_words_per_cycle
+    return (counts.dram_read_words + weight_words) / bandwidth + store_words / bandwidth
+
+
+def dram_words(counts: StepCounts, weight_words, store_words) -> float:
+    """DRAM words a step moves: operand reads, weight tile, output store."""
+    return counts.dram_read_words + weight_words + store_words
 
 
 class AcceleratorSimulator:
@@ -52,34 +103,6 @@ class AcceleratorSimulator:
         self.buffer = GlobalBuffer(config.buffer_words)
         self.dram = DRAM(config.dram_words_per_cycle)
 
-    # ------------------------------------------------------------------
-    # Per-step models
-    # ------------------------------------------------------------------
-    def compute_cycles(self, counts: StepCounts) -> float:
-        """Cycles the PE array needs for one step (no DRAM stalls)."""
-        config = self.config
-        operand_rate = config.num_pes * config.pe_utilization
-        work = counts.processed_operands / operand_rate
-        weight_reload = (
-            counts.weight_loads * config.weight_reload_overhead / config.num_pes
-        )
-        return work + weight_reload + config.sync_cycles_per_layer
-
-    def dram_cycles(self, operand_words: float, weight_words: float) -> float:
-        """Cycles to stream the step's DRAM traffic at the sustained bandwidth."""
-        return self.dram.transfer_cycles(operand_words + weight_words)
-
-    def _weight_tile_words(
-        self, layer: ConvLayerSpec, densities: LayerDensities | None
-    ) -> float:
-        """Weight DRAM words for one step, including the tiling penalty."""
-        densities = densities if densities is not None else LayerDensities.dense()
-        factor = self.buffer.weight_tiling_factor(layer, densities, self.config.sparse_dataflow)
-        return layer.weight_count * factor
-
-    # ------------------------------------------------------------------
-    # Program execution
-    # ------------------------------------------------------------------
     def run_program(
         self,
         program: Program,
@@ -89,114 +112,76 @@ class AcceleratorSimulator:
 
         ``densities`` is only needed for the buffer-fit (weight tiling)
         analysis; the per-step operand counts are already baked into the
-        program by the compiler.
+        program by the compiler.  Each step is costed once, together with
+        the weight load before it and the output store after it.
         """
+        config = self.config
         result = SimulationResult(
-            config_name=self.config.name,
+            config_name=config.name,
             model_name=program.model_name,
             dataset=program.dataset,
             sparse=program.sparse,
-            clock_ghz=self.config.clock_ghz,
+            clock_ghz=config.clock_ghz,
         )
 
         pending_weight_words = 0.0
-        pending_store_words = 0.0
-        last_step_index: int | None = None
+        step: StepInstruction | None = None
+        weight_words = 0.0
+        store_words = 0.0
 
         for instruction in program.instructions:
             if isinstance(instruction, LoadWeightsInstruction):
                 pending_weight_words += float(instruction.words)
-                continue
-            if isinstance(instruction, StoreOutputInstruction):
-                # Output store belongs to the step that produced it.  Weight
-                # gradients (the GTW step's output) are accumulated on chip
-                # over the whole batch and written back once per iteration, so
-                # their per-sample share divides by the batch size.
-                words = float(instruction.words)
-                if (
-                    last_step_index is not None
-                    and result.steps[last_step_index].step is StepKind.GTW
-                ):
-                    words /= self.config.batch_size
-                pending_store_words += words
-                if last_step_index is not None:
-                    self._attach_store(result, last_step_index, pending_store_words)
-                    pending_store_words = 0.0
-                continue
-            if not isinstance(instruction, StepInstruction):
-                continue
-
-            layer = instruction.layer
-            counts = instruction.counts
-            layer_densities = (densities or {}).get(layer.name) if densities else None
-
-            weight_words = 0.0
-            if pending_weight_words > 0.0:
-                tiling = self.buffer.weight_tiling_factor(
-                    layer,
-                    layer_densities if layer_densities is not None else LayerDensities.dense(),
-                    self.config.sparse_dataflow,
+            elif isinstance(instruction, StoreOutputInstruction):
+                # An output store belongs to the step that produced it.
+                store_words += store_dram_words(
+                    float(instruction.words), step.step if step is not None else None, config
                 )
-                # Weights are fetched once per batch iteration and reused for
-                # every sample in the batch, so the per-sample share divides
-                # by the batch size.
-                weight_words = pending_weight_words * tiling / self.config.batch_size
-                pending_weight_words = 0.0
-
-            compute = self.compute_cycles(counts)
-            dram = self.dram_cycles(counts.dram_read_words, weight_words)
-            cycles = max(compute, dram)
-
-            dram_words = counts.dram_read_words + weight_words
-            events = EventCounts(
-                macs=counts.macs,
-                reg_accesses=counts.reg_accesses,
-                sram_words=counts.sram_words,
-                dram_words=dram_words,
-                cycles=cycles,
-            )
-            energy = energy_from_events(events, self.energy_model)
-
-            self.buffer.record_reads(counts.sram_read_words)
-            self.buffer.record_writes(counts.sram_write_words)
-            self.dram.record_reads(counts.dram_read_words + weight_words)
-
-            result.steps.append(
-                StepResult(
-                    layer_name=instruction.layer_name,
-                    step=instruction.step,
-                    compute_cycles=compute,
-                    dram_cycles=dram,
-                    cycles=cycles,
-                    events=events,
-                    energy=energy,
-                )
-            )
-            last_step_index = len(result.steps) - 1
+            elif isinstance(instruction, StepInstruction):
+                if step is not None:
+                    result.steps.append(self._run_step(step, weight_words, store_words))
+                    store_words = 0.0
+                step = instruction
+                weight_words = 0.0
+                if pending_weight_words > 0.0:
+                    layer_densities = (densities or {}).get(instruction.layer.name)
+                    tiling = weight_tiling_factor(
+                        instruction.layer,
+                        layer_densities if layer_densities is not None else LayerDensities.dense(),
+                        self.buffer.capacity_words,
+                        config.sparse_dataflow,
+                    )
+                    weight_words = weight_dram_words(pending_weight_words, tiling, config)
+                    pending_weight_words = 0.0
+        if step is not None:
+            result.steps.append(self._run_step(step, weight_words, store_words))
         return result
 
-    def _attach_store(self, result: SimulationResult, step_index: int, words: float) -> None:
-        """Fold an output-store transfer into the step that produced it."""
-        if words <= 0.0:
-            return
-        step = result.steps[step_index]
-        extra_dram_cycles = self.dram.transfer_cycles(words)
-        new_dram_cycles = step.dram_cycles + extra_dram_cycles
-        new_cycles = max(step.compute_cycles, new_dram_cycles)
+    def _run_step(
+        self, instruction: StepInstruction, weight_words: float, store_words: float
+    ) -> StepResult:
+        """Cost one step with its weight load and output store."""
+        counts = instruction.counts
+        compute = compute_cycles(counts, self.config)
+        dram = dram_cycles(counts, weight_words, store_words, self.config)
+        cycles = max(compute, dram)
         events = EventCounts(
-            macs=step.events.macs,
-            reg_accesses=step.events.reg_accesses,
-            sram_words=step.events.sram_words,
-            dram_words=step.events.dram_words + words,
-            cycles=new_cycles,
+            macs=counts.macs,
+            reg_accesses=counts.reg_accesses,
+            sram_words=counts.sram_words,
+            dram_words=dram_words(counts, weight_words, store_words),
+            cycles=cycles,
         )
-        self.dram.record_writes(words)
-        result.steps[step_index] = StepResult(
-            layer_name=step.layer_name,
-            step=step.step,
-            compute_cycles=step.compute_cycles,
-            dram_cycles=new_dram_cycles,
-            cycles=new_cycles,
+        self.buffer.record_reads(counts.sram_read_words)
+        self.buffer.record_writes(counts.sram_write_words)
+        self.dram.record_reads(counts.dram_read_words + weight_words)
+        self.dram.record_writes(store_words)
+        return StepResult(
+            layer_name=instruction.layer_name,
+            step=instruction.step,
+            compute_cycles=compute,
+            dram_cycles=dram,
+            cycles=cycles,
             events=events,
             energy=energy_from_events(events, self.energy_model),
         )

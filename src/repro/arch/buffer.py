@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.dataflow.counts import LayerDensities
+from repro.dataflow.counts import LayerDensities, compressed_words
 from repro.models.spec import ConvLayerSpec
 
 
@@ -63,18 +61,8 @@ class GlobalBuffer:
         densities: LayerDensities,
         sparse: bool = True,
     ) -> float:
-        """Words needed to hold one sample's activations (input + output tile).
-
-        Sparse tensors are stored compressed (values plus packed offsets,
-        ~1.5 words per non-zero).
-        """
-        if sparse:
-            input_words = layer.input_size * densities.input_density * 1.5
-            output_words = layer.output_size * densities.output_density * 1.5
-        else:
-            input_words = float(layer.input_size)
-            output_words = float(layer.output_size)
-        return input_words + output_words
+        """Words needed to hold one sample's activations (see :func:`activation_words`)."""
+        return activation_words(layer, densities, sparse)
 
     def working_set_words(
         self,
@@ -83,7 +71,7 @@ class GlobalBuffer:
         sparse: bool = True,
     ) -> float:
         """Words needed to hold one sample's full working set (activations + weights)."""
-        return self.activation_words(layer, densities, sparse) + layer.weight_count
+        return activation_words(layer, densities, sparse) + layer.weight_count
 
     def fits(self, layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True) -> bool:
         """Whether the per-sample working set of ``layer`` fits in the buffer."""
@@ -92,21 +80,55 @@ class GlobalBuffer:
     def weight_tiling_factor(
         self, layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
     ) -> float:
-        """How many times a layer's weights are re-fetched because of tiling.
+        """How many times a layer's weights are re-fetched (see :func:`weight_tiling_factor`)."""
+        return weight_tiling_factor(layer, densities, self.capacity_words, sparse)
 
-        Weights are streamed through the buffer once as long as the layer's
-        activations fit next to a reasonable weight tile.  When the
-        activations themselves exceed the space left after reserving room for
-        weights (at most half the buffer), they are processed in tiles and the
-        weights must be re-read once per activation tile.  For the CIFAR and
-        ImageNet geometries evaluated in the paper the per-sample activations
-        comfortably fit the 386 KB buffer, so the factor is 1.0 — the paper's
-        "sufficient for storing data used in each iteration" assumption — but
-        the model degrades gracefully for buffer-size sweeps.
-        """
-        activation_words = self.activation_words(layer, densities, sparse)
-        weight_space = min(float(layer.weight_count), self.capacity_words / 2.0)
-        available = self.capacity_words - weight_space
-        if activation_words <= available:
-            return 1.0
-        return float(np.ceil(activation_words / available))
+
+# ----------------------------------------------------------------------
+# Working-set formulas.  Like :mod:`repro.dataflow.counts` they are plain
+# arithmetic, so they evaluate on one layer's Python numbers or element-wise
+# on the analytic tier's numpy columns (``capacity_words`` may be a column).
+# ----------------------------------------------------------------------
+
+def activation_words(
+    layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
+) -> float:
+    """Words needed to hold one sample's activations (input + output tile).
+
+    Sparse tensors are stored compressed (values plus packed offsets,
+    ~1.5 words per non-zero).
+    """
+    if sparse:
+        return compressed_words(layer.input_size * densities.input_density) + compressed_words(
+            layer.output_size * densities.output_density
+        )
+    return layer.input_size + layer.output_size
+
+
+def weight_tiling_factor(
+    layer: ConvLayerSpec, densities: LayerDensities, capacity_words, sparse: bool = True
+) -> float:
+    """How many times a layer's weights are re-fetched because of tiling.
+
+    Weights are streamed through the buffer once as long as the layer's
+    activations fit next to a reasonable weight tile.  When the
+    activations themselves exceed the space left after reserving room for
+    weights (at most half the buffer), they are processed in tiles and the
+    weights must be re-read once per activation tile.  For the CIFAR and
+    ImageNet geometries evaluated in the paper the per-sample activations
+    comfortably fit the 386 KB buffer, so the factor is 1.0 — the paper's
+    "sufficient for storing data used in each iteration" assumption — but
+    the model degrades gracefully for buffer-size sweeps.
+
+    The min/where/ceil are written as arithmetic selections (``s * a +
+    (1 - s) * b`` with a bool ``s``) and floor division, so one layer's
+    factor stays a Python float and a column's is a numpy column.
+    """
+    activation = activation_words(layer, densities, sparse)
+    half = capacity_words / 2.0
+    weights_small = layer.weight_count <= half
+    weight_space = weights_small * layer.weight_count + (1 - weights_small) * half
+    available = capacity_words - weight_space
+    fits = activation <= available
+    tiles = -(-(activation / available) // 1.0)  # ceil
+    return fits * 1.0 + (1 - fits) * tiles

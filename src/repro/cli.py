@@ -169,8 +169,10 @@ def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
         "--fidelity",
         choices=FIDELITY_CHOICES,
         default=DEFAULT_FIDELITY.value,
-        help="cost-model tier: analytic (closed-form, microseconds/point), "
-        "vectorized (the simulator, default), scalar (serial trust anchor)",
+        help="cost-model tier: analytic (the simulator's formulas on numpy "
+        "columns, microseconds/point), vectorized (the instruction-stream "
+        "simulator, default); scalar is accepted and runs the default engine "
+        "(use --serial for a serial run)",
     )
 
 

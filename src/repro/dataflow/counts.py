@@ -9,6 +9,16 @@ processed operands, MACs, register accesses and buffer words each of the three
 training steps needs.  The architecture simulator turns these into cycles and
 energy.
 
+These are the only count formulas in the repository.  Every one is plain
+arithmetic on the attributes it reads, so it evaluates element-wise on two
+kinds of input: one :class:`~repro.models.spec.ConvLayerSpec` with one
+:class:`LayerDensities` (Python numbers — the simulator's instruction-stream
+walk), or a :class:`~repro.analytic.model.LayerGeometry` with a
+:class:`~repro.analytic.model.DensityGrid`, whose fields carry the same names
+as ``(layers,)`` and ``(points, layers)`` numpy columns (the analytic tier).
+Branches are taken only on the ``sparse`` flag, which both callers pass as a
+Python bool; per-layer choices are arithmetic selections.
+
 All formulas are per *sample*; batching is a pure multiplier handled by the
 caller.  The same formulas with all densities forced to 1.0 and compression
 disabled describe the dense baseline, so SparseTrain-vs-baseline comparisons
@@ -92,7 +102,8 @@ class StepCounts:
 
     ``processed_operands`` is the number of operand values a PE actually
     consumes (one per cycle in the PE model); ``weight_loads`` is the number
-    of kernel-row words loaded into Reg-1.
+    of kernel-row words loaded into Reg-1.  Evaluated on numpy columns, every
+    count is a column broadcastable to ``(points, layers)``.
     """
 
     step: StepKind
@@ -120,27 +131,13 @@ OFFSET_PACKING = 2.0
 
 
 def compressed_words(values):
-    """Buffer words for ``values`` non-zero values in compressed format.
-
-    Works element-wise on numpy arrays as well as scalars — the analytic
-    cost model (:mod:`repro.analytic.model`) evaluates it over whole design
-    grids and must agree with the scalar path bit for bit.
-    """
+    """Buffer words for ``values`` non-zero values in compressed format."""
     return values * (1.0 + 1.0 / OFFSET_PACKING)
 
 
 def skip_factor(density, kernel):
-    """Probability that at least one of ``kernel`` aligned positions is live.
-
-    Scalar or element-wise over numpy arrays (see :func:`compressed_words`).
-    """
+    """Probability that at least one of ``kernel`` aligned positions is live."""
     return 1.0 - (1.0 - density) ** kernel
-
-
-# Backwards-compatible private aliases (pre-analytic-tier call sites).
-_OFFSET_PACKING = OFFSET_PACKING
-_compressed_words = compressed_words
-_skip_factor = skip_factor
 
 
 def forward_counts(
@@ -164,24 +161,24 @@ def forward_counts(
     d_in = densities.input_density if sparse else 1.0
     d_out = densities.output_density if sparse else 1.0
 
-    processed_per_op = (layer.in_width * d_in) if sparse else float(padded_width)
+    processed_per_op = (layer.in_width * d_in) if sparse else padded_width
     processed = row_ops * processed_per_op
     macs = processed * kernel
     weight_loads = row_ops * kernel
 
     input_read_words = (
-        row_ops * _compressed_words(processed_per_op) if sparse else row_ops * padded_width
+        row_ops * compressed_words(processed_per_op) if sparse else row_ops * padded_width
     )
     weight_read_words = weight_loads
     psum_write_words = layer.out_channels * layer.out_height * layer.out_width
     output_write_words = (
-        _compressed_words(layer.output_size * d_out) if sparse else layer.output_size
+        compressed_words(layer.output_size * d_out) if sparse else layer.output_size
     )
     reg_accesses = 2.0 * macs + processed
 
     # Weight DRAM traffic is carried by the LoadWeights instruction the
     # compiler emits, so only operand traffic is counted here.
-    dram_read = _compressed_words(layer.input_size * d_in) if sparse else layer.input_size
+    dram_read = compressed_words(layer.input_size * d_in) if sparse else layer.input_size
     dram_write = output_write_words
 
     return StepCounts(
@@ -206,36 +203,41 @@ def gta_counts(
     Grouped convolutions: each input channel receives gradient contributions
     from only the ``out_channels / groups`` output channels of its group
     (``layer.group_out_channels``), mirroring the grouped Forward accounting.
+
+    Mask skipping only exists behind a ReLU: ``layer.has_relu_mask`` (a bool,
+    or a 0/1 column) selects the mask density or 1.0 by arithmetic, and
+    gates the mask read traffic the same way.
     """
     kernel = layer.kernel
     row_ops = layer.in_channels * layer.in_height * layer.group_out_channels * kernel
 
+    relu = layer.has_relu_mask
     d_grad = densities.grad_output_density if sparse else 1.0
-    d_mask = densities.mask_density if (sparse and layer.has_relu_mask) else 1.0
+    d_mask = relu * densities.mask_density + (1 - relu) * 1.0 if sparse else 1.0
     d_dI = densities.grad_input_density if sparse else 1.0
 
     grad_row_nnz = layer.out_width * d_grad
-    processed_per_op = grad_row_nnz * _skip_factor(d_mask, kernel)
+    processed_per_op = grad_row_nnz * skip_factor(d_mask, kernel)
     processed = row_ops * processed_per_op
     macs = row_ops * grad_row_nnz * kernel * d_mask
     weight_loads = row_ops * kernel
 
     grad_read_words = (
-        row_ops * _compressed_words(grad_row_nnz) if sparse else row_ops * layer.out_width
+        row_ops * compressed_words(grad_row_nnz) if sparse else row_ops * layer.out_width
     )
     mask_read_words = (
-        row_ops * (layer.in_width * d_mask) / _OFFSET_PACKING if sparse and layer.has_relu_mask else 0.0
+        relu * row_ops * (layer.in_width * d_mask) / OFFSET_PACKING if sparse else 0.0
     )
     weight_read_words = weight_loads
     psum_write_words = layer.in_channels * layer.in_height * layer.in_width
     grad_input_write_words = (
-        _compressed_words(layer.input_size * d_dI) if sparse else layer.input_size
+        compressed_words(layer.input_size * d_dI) if sparse else layer.input_size
     )
     reg_accesses = 2.0 * macs + processed
 
     # Weight DRAM traffic is carried by the LoadWeights instruction.
     dram_read = (
-        _compressed_words(layer.output_size * d_grad) if sparse else layer.output_size
+        compressed_words(layer.output_size * d_grad) if sparse else layer.output_size
     )
     dram_write = grad_input_write_words
 
@@ -271,7 +273,7 @@ def gtw_counts(
     d_grad = densities.grad_output_density if sparse else 1.0
 
     input_row_length = layer.in_width if sparse else padded_width
-    processed_per_op = input_row_length * d_in * _skip_factor(d_grad, kernel)
+    processed_per_op = input_row_length * d_in * skip_factor(d_grad, kernel)
     processed = row_ops * processed_per_op
     macs = row_ops * input_row_length * d_in * kernel * d_grad
     # OSRC caches dO values in Reg-1 instead of a weight row; count those loads
@@ -279,12 +281,12 @@ def gtw_counts(
     weight_loads = 0.0
 
     input_read_words = (
-        row_ops * _compressed_words(input_row_length * d_in)
+        row_ops * compressed_words(input_row_length * d_in)
         if sparse
         else row_ops * padded_width
     )
     grad_read_words = (
-        row_ops * _compressed_words(layer.out_width * d_grad)
+        row_ops * compressed_words(layer.out_width * d_grad)
         if sparse
         else row_ops * layer.out_width
     )
@@ -292,7 +294,7 @@ def gtw_counts(
     reg_accesses = 2.0 * macs + processed
 
     dram_read = (
-        _compressed_words(layer.input_size * d_in) + _compressed_words(layer.output_size * d_grad)
+        compressed_words(layer.input_size * d_in) + compressed_words(layer.output_size * d_grad)
         if sparse
         else layer.input_size + layer.output_size
     )
@@ -312,15 +314,19 @@ def gtw_counts(
     )
 
 
+#: The count formula of each training step, in program order.
+STEP_COUNTS = {
+    StepKind.FORWARD: forward_counts,
+    StepKind.GTA: gta_counts,
+    StepKind.GTW: gtw_counts,
+}
+
+
 def layer_counts(
     layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
 ) -> dict[StepKind, StepCounts]:
-    """All three training steps of one layer."""
-    return {
-        StepKind.FORWARD: forward_counts(layer, densities, sparse),
-        StepKind.GTA: gta_counts(layer, densities, sparse),
-        StepKind.GTW: gtw_counts(layer, densities, sparse),
-    }
+    """All three training steps of one layer (or of a column grid)."""
+    return {kind: counts(layer, densities, sparse) for kind, counts in STEP_COUNTS.items()}
 
 
 def total_macs(counts: dict[StepKind, StepCounts]) -> float:

@@ -19,7 +19,7 @@ The harness executes as a registered :mod:`repro.api` pipeline
    inside the simulate workers so it parallelises with them).
 4. ``simulate`` — run SparseTrain and the dense baseline (168 PEs, 386 KB
    buffer each) on every job through the shared worker-pool
-   :class:`~repro.api.runner.Runner`.
+   :class:`~repro.api.runner.Runner`, at every fidelity.
 5. ``report`` — per-sample latency and speedup tables.
 """
 
@@ -294,35 +294,16 @@ def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
     ]
 
 
-def _simulate_vectorized(ctx: PipelineContext) -> list[WorkloadResult]:
-    return ctx.runner.map(_run_job, ctx["compile"])
-
-
-def _simulate_scalar(ctx: PipelineContext) -> list[WorkloadResult]:
-    # The serial trust anchor: the same jobs, strictly in-process.
-    return [_run_job(job) for job in ctx["compile"]]
-
-
-def _simulate_analytic(ctx: PipelineContext) -> list[WorkloadResult]:
-    from repro.analytic.model import run_workload_jobs_analytic
-
-    return run_workload_jobs_analytic(ctx["compile"])
-
-
 def simulate_stage(ctx: PipelineContext) -> list[WorkloadResult]:
-    """``simulate`` — both architectures per job, at the requested fidelity.
+    """``simulate`` — both architectures per job through the shared runner.
 
-    Shared by fig8 and fig9: the analytic tier materializes full per-(layer,
-    step) results, so the fig9 energy-breakdown report works on it unchanged.
+    Shared by fig8 and fig9.  Every fidelity runs this one path: the
+    instruction-stream walk yields the per-(layer, step) results the fig9
+    energy breakdown reads, and a fig8 workload costs milliseconds, so the
+    ``analytic`` and ``scalar`` tiers are accepted (and hashed) but change
+    nothing here.
     """
-    from repro.api import fidelity_dispatch
-
-    return fidelity_dispatch(
-        ctx,
-        vectorized=_simulate_vectorized,
-        analytic=_simulate_analytic,
-        scalar=_simulate_scalar,
-    )
+    return ctx.runner.map(_run_job, ctx["compile"])
 
 
 def workload_payload(result_workloads: list[WorkloadResult]) -> dict[str, dict[str, float]]:

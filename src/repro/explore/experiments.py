@@ -94,15 +94,13 @@ def _compile_stage(ctx: PipelineContext):
     return points_for(space, workloads, sample=sample, seed=request.param("seed", 0))
 
 
-def _engine_for(ctx: PipelineContext, parallel: bool | None = None) -> ExplorationEngine:
+def _engine_for(ctx: PipelineContext) -> ExplorationEngine:
     options = ctx.options
     cache = ctx.extras.get("sweep_cache")
     if cache is None and "sweep_cache" not in ctx.extras:
         cache = options.sweep_cache()
     return ExplorationEngine(
-        cache=cache,
-        max_workers=options.max_workers,
-        parallel=options.parallel if parallel is None else parallel,
+        cache=cache, max_workers=options.max_workers, parallel=options.parallel
     )
 
 
@@ -113,15 +111,8 @@ def _simulate_vectorized(ctx: PipelineContext) -> dict[str, Any]:
     return {"records": records, "stats": engine.stats.describe()}
 
 
-def _simulate_scalar(ctx: PipelineContext) -> dict[str, Any]:
-    """The serial trust anchor: same engine, parallelism forced off."""
-    engine = _engine_for(ctx, parallel=False)
-    records = engine.run(ctx["compile"])
-    return {"records": records, "stats": engine.stats.describe()}
-
-
 def _simulate_analytic(ctx: PipelineContext) -> dict[str, Any]:
-    """The closed-form tier, optionally followed by a Pareto re-simulation.
+    """The column evaluator, optionally followed by a Pareto re-simulation.
 
     Analytic records carry fidelity-salted keys
     (:func:`repro.analytic.model.analytic_point_key`) and are *not* written
@@ -180,12 +171,13 @@ def _simulate_analytic(ctx: PipelineContext) -> dict[str, Any]:
 
 
 def _simulate_stage(ctx: PipelineContext) -> dict[str, Any]:
-    """``simulate`` — evaluate at the tier the request's fidelity asks for."""
+    """``simulate`` — evaluate at the tier the request's fidelity asks for.
+
+    ``scalar`` runs the default engine (``fidelity_dispatch``'s fallback);
+    serial evaluation is a run option (``--serial``), not a tier.
+    """
     return fidelity_dispatch(
-        ctx,
-        vectorized=_simulate_vectorized,
-        analytic=_simulate_analytic,
-        scalar=_simulate_scalar,
+        ctx, vectorized=_simulate_vectorized, analytic=_simulate_analytic
     )
 
 

@@ -146,18 +146,18 @@ class TestTierEquivalence:
             assert a.speedup == pytest.approx(v.speedup, rel=1e-9)
 
     def test_fig8_analytic_tier(self):
+        # fig8/fig9 run one simulate path at every fidelity, so every tier
+        # returns the default payload exactly.
         request = ExperimentRequest(
             experiment="fig8",
             workloads=(("AlexNet", "CIFAR-10"),),
             scale=ExperimentScale.smoke(),
-            fidelity="analytic",
         )
-        vectorized = run_experiment(
-            request.with_fidelity("vectorized"),
-            options=RunOptions(use_cache=False),
-        )
-        analytic = run_experiment(request, options=RunOptions(use_cache=False))
-        va = vectorized.payload["workloads"]["AlexNet/CIFAR-10"]
-        aa = analytic.payload["workloads"]["AlexNet/CIFAR-10"]
-        for metric, value in va.items():
-            assert aa[metric] == pytest.approx(value, rel=1e-9)
+        payloads = {
+            tier: run_experiment(
+                request.with_fidelity(tier), options=RunOptions(use_cache=False)
+            ).payload
+            for tier in ("vectorized", "analytic", "scalar")
+        }
+        assert payloads["analytic"] == payloads["vectorized"]
+        assert payloads["scalar"] == payloads["vectorized"]

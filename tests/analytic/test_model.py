@@ -1,29 +1,15 @@
 """The analytic tier must agree with the simulator to float-noise level.
 
-Both paths compute identical closed-form expected values; any disagreement
-beyond summation-order noise (~1e-12 relative) is a structural divergence.
+Both evaluators run the same formulas; any disagreement beyond
+summation-order noise (~1e-12 relative) is a evaluator bug.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analytic.model import (
-    analytic_point_key,
-    analytic_simulation_result,
-    compare_workload_analytic,
-    evaluate_points_analytic,
-    run_workload_jobs_analytic,
-)
-from repro.explore.engine import DesignPoint, analytic_densities, evaluate_point
-from repro.models.zoo import get_model_spec
-from repro.sim.runner import (
-    WorkloadJob,
-    compare_workload,
-    simulate_baseline,
-    simulate_sparsetrain,
-)
+from repro.analytic.model import analytic_point_key, evaluate_points_analytic
+from repro.explore.engine import DesignPoint, evaluate_point
 
 RTOL = 1e-9
 
@@ -124,59 +110,6 @@ class TestAnalyticKeys:
         assert [record.to_dict() for record in whole] == [
             record.to_dict() for record in chunked
         ]
-
-
-class TestMaterializedSimulationResult:
-    @pytest.fixture(scope="class")
-    def spec_and_densities(self):
-        spec = get_model_spec("AlexNet", "CIFAR-10")
-        return spec, analytic_densities(spec, 0.9)
-
-    def test_sparse_steps_match_simulator(self, spec_and_densities):
-        spec, densities = spec_and_densities
-        config = DesignPoint(model="AlexNet", dataset="CIFAR-10").sparse_config()
-        analytic = analytic_simulation_result(spec, densities, config)
-        simulated = simulate_sparsetrain(spec, densities, config)
-        assert len(analytic.steps) == len(simulated.steps)
-        for a, s in zip(analytic.steps, simulated.steps):
-            assert (a.layer_name, a.step) == (s.layer_name, s.step)
-            assert a.cycles == pytest.approx(s.cycles, rel=RTOL)
-            assert a.compute_cycles == pytest.approx(s.compute_cycles, rel=RTOL)
-            assert a.dram_cycles == pytest.approx(s.dram_cycles, rel=RTOL)
-            assert a.events.macs == pytest.approx(s.events.macs, rel=RTOL)
-            assert a.events.sram_words == pytest.approx(s.events.sram_words, rel=RTOL)
-            assert a.events.dram_words == pytest.approx(s.events.dram_words, rel=RTOL)
-
-    def test_baseline_steps_match_simulator(self, spec_and_densities):
-        spec, _ = spec_and_densities
-        config = DesignPoint(model="AlexNet", dataset="CIFAR-10").baseline_config()
-        analytic = analytic_simulation_result(spec, None, config, sparse=False)
-        simulated = simulate_baseline(spec, config)
-        assert analytic.total_cycles == pytest.approx(
-            simulated.total_cycles, rel=RTOL
-        )
-        assert analytic.energy_uj == pytest.approx(simulated.energy_uj, rel=RTOL)
-
-    def test_energy_fractions_match(self, spec_and_densities):
-        # Fig. 9 slices per-component energy; the analytic result must carry
-        # a real breakdown, not just totals.
-        spec, densities = spec_and_densities
-        analytic = compare_workload_analytic(spec, densities)
-        simulated = compare_workload(spec, densities)
-        fa = analytic.comparison.sparsetrain.energy_fractions()
-        fs = simulated.comparison.sparsetrain.energy_fractions()
-        for component in fs:
-            assert fa[component] == pytest.approx(fs[component], rel=1e-6)
-
-    def test_workload_jobs_front_end(self, spec_and_densities):
-        spec, densities = spec_and_densities
-        job = WorkloadJob(spec=spec, densities=densities)
-        (analytic,) = run_workload_jobs_analytic([job])
-        simulated = compare_workload(spec, densities)
-        assert analytic.speedup == pytest.approx(simulated.speedup, rel=RTOL)
-        assert analytic.energy_efficiency == pytest.approx(
-            simulated.energy_efficiency, rel=RTOL
-        )
 
 
 class TestObsCounters:

@@ -1,9 +1,9 @@
 """Seeded property tests for the closed-form counts helpers.
 
-The analytic tier reuses ``compressed_words``/``skip_factor`` element-wise
-over whole design grids, so their scalar algebraic properties — monotonicity
-in density, additivity of totals, dense-path equivalence — are load-bearing
-beyond the original scalar call sites.
+The analytic tier evaluates ``compressed_words``/``skip_factor`` element-wise
+over whole design grids, so their algebraic properties — monotonicity in
+density, additivity of totals, dense-path equivalence — hold for the walk and
+the columns alike.
 """
 
 from __future__ import annotations
@@ -75,18 +75,6 @@ class TestHelperProperties:
         # Linear in the value count: one offset per two values.
         assert np.allclose(words, values * 1.5)
         assert compressed_words(0.0) == 0.0
-
-    def test_private_aliases_still_exported(self):
-        # Pre-analytic-tier call sites import the underscore names.
-        from repro.dataflow.counts import (
-            _compressed_words,
-            _skip_factor,
-            _OFFSET_PACKING,
-        )
-
-        assert _compressed_words is compressed_words
-        assert _skip_factor is skip_factor
-        assert _OFFSET_PACKING == 2.0
 
 
 class TestLayerCountProperties:
