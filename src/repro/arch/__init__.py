@@ -22,7 +22,7 @@ from repro.arch.energy import (
     default_energy_model,
     energy_from_events,
 )
-from repro.arch.pe import PE, PE_BACKENDS, PEOpStats, execute_ops
+from repro.arch.pe import PE, PEOpStats
 from repro.arch.pe_group import GroupResult, PEGroup
 from repro.arch.ppu import PPU, PPUStats
 from repro.arch.results import ComparisonResult, SimulationResult, StepResult
@@ -37,9 +37,7 @@ __all__ = [
     "default_energy_model",
     "energy_from_events",
     "PE",
-    "PE_BACKENDS",
     "PEOpStats",
-    "execute_ops",
     "PPU",
     "PPUStats",
     "PEGroup",

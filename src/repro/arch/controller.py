@@ -1,10 +1,11 @@
-"""Controller / scheduler for the detailed (row-operation level) simulator.
+"""Controller / scheduler for the row-operation level PE model.
 
 The controller assigns row operations to PE groups with a greedy least-loaded
 policy — the software counterpart of the paper's controller that keeps PEs fed
-from the global buffer.  It is used for small layers (tests, examples and the
-calibration of the layer-level model); the full-network Fig. 8 / Fig. 9 runs
-use :class:`repro.arch.accelerator.AcceleratorSimulator` instead.
+from the global buffer.  It schedules small layers for the tests and
+``examples/dataflow_walkthrough.py``; the full-network Fig. 8 / Fig. 9 runs
+cost layers with the closed-form counts of :mod:`repro.dataflow.counts` in
+:class:`repro.arch.accelerator.AcceleratorSimulator` instead.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ class ScheduleResult:
 class Controller:
     """Schedules row operations over the PE groups of one accelerator."""
 
-    def __init__(self, config: ArchConfig, backend: str = "vector") -> None:
+    def __init__(self, config: ArchConfig) -> None:
         self.config = config
         self.groups = [
             PEGroup(
                 num_pes=config.pes_per_group,
                 zero_skipping=config.sparse_dataflow,
                 amortize_weight_load=config.weight_reload_overhead == 0.0,
-                backend=backend,
             )
             for _ in range(config.num_groups)
         ]
@@ -64,30 +64,6 @@ class Controller:
         load-balances internally across its PEs.  Result order matches input
         order so the caller can reassemble feature maps.
         """
-        return self._run(ops, apply_relu, accumulate_gradients, batched=False)
-
-    def run_batch(
-        self,
-        ops: list[RowOp],
-        apply_relu: bool = False,
-        accumulate_gradients: bool = False,
-    ) -> ScheduleResult:
-        """Batched equivalent of :meth:`run_ops` (identical results and stats).
-
-        Every group executes its share through the pooled vector kernels
-        (:meth:`PEGroup.run_batch`), so one layer-step of row operations
-        costs a handful of numpy calls per group instead of a Python loop
-        per operation.
-        """
-        return self._run(ops, apply_relu, accumulate_gradients, batched=True)
-
-    def _run(
-        self,
-        ops: list[RowOp],
-        apply_relu: bool,
-        accumulate_gradients: bool,
-        batched: bool,
-    ) -> ScheduleResult:
         if not ops:
             return ScheduleResult(results=[], stats=PEOpStats.zero(), cycles=0, per_group_cycles=[])
 
@@ -103,8 +79,7 @@ class Controller:
             if not indices:
                 per_group_cycles.append(0)
                 continue
-            execute = group.run_batch if batched else group.run_ops
-            group_result = execute(
+            group_result = group.run_ops(
                 [ops[i] for i in indices],
                 apply_relu=apply_relu,
                 accumulate_gradients=accumulate_gradients,

@@ -8,44 +8,30 @@ never cost a cycle; for MSRC the offset vector of the following ReLU mask
 (Port-3) additionally lets the PE skip operands whose every output position is
 masked off — the look-ahead logic means skipped operands cost no stall cycles.
 
-``PE.run(op)`` returns both the exact numerical result of the operation (so
-the dataflow can be validated end-to-end against the dense reference
-convolution) and the event counts (cycles, MACs, register accesses) that the
-performance/energy model consumes.
-
-Two execution backends produce **bit-identical** results and stats:
-
-* ``backend="vector"`` (default) — the pooled numpy scatter/gather kernels of
-  :mod:`repro.arch.kernels`; orders of magnitude faster, used everywhere.
-* ``backend="scalar"`` — the original per-operand Python loops, kept as the
-  executable specification for differential testing
-  (``tests/arch/test_pe_parity.py``).
-
-``PE.run_batch`` (and the matching APIs on
-:class:`~repro.arch.pe_group.PEGroup` and
-:class:`~repro.arch.controller.Controller`) executes a whole layer-step of
-row operations through the pooled kernels in a handful of numpy calls.
+``PE.run(op)`` returns both the exact numerical result of the operation and
+its event counts (cycles, MACs, register accesses).  The per-operand loops
+below are the executable specification of the SRC / MSRC / OSRC semantics:
+the tests and ``examples/dataflow_walkthrough.py`` check their results against
+the row-wise reference (:mod:`repro.dataflow.reference`) and their counts
+against hand-derived values and the closed-form model
+(:mod:`repro.dataflow.counts`).  Paper figures and sweeps never execute row
+operations; they cost whole layers with those closed-form counts.
 """
 
 from __future__ import annotations
 
-from itertools import starmap
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.arch import kernels as _kernels
 from repro.dataflow.ops import MSRCOp, OSRCOp, RowOp, SRCOp
-
-PE_BACKENDS = ("vector", "scalar")
 
 
 class PEOpStats(NamedTuple):
     """Event counts of one row operation executed on one PE.
 
-    A NamedTuple rather than a dataclass: the vectorized engine materialises
-    one instance per row operation (thousands per layer-step), and tuple
-    construction is an order of magnitude cheaper.
+    Totals over many operations are field-wise sums (``+``); ``zero()`` is
+    the identity.
     """
 
     cycles: int
@@ -70,74 +56,6 @@ class PEOpStats(NamedTuple):
         return cls(0, 0, 0, 0, 0, 0)
 
 
-def stats_from_arrays(arrays: _kernels.StatArrays) -> list[PEOpStats]:
-    """Wrap the kernels' per-op stat arrays into one PEOpStats per op.
-
-    ``tolist`` converts each column to plain Python ints in one C call; the
-    field order of ``STAT_KEYS`` matches the PEOpStats fields.
-    """
-    columns = (arrays[key].tolist() for key in _kernels.STAT_KEYS)
-    return list(starmap(PEOpStats, zip(*columns)))
-
-
-def stats_total(
-    arrays: _kernels.StatArrays, mask: np.ndarray | None = None
-) -> PEOpStats:
-    """Sum the kernels' per-op stat arrays into one aggregate PEOpStats.
-
-    ``mask`` restricts the sum to a boolean subset of the ops (used to
-    attribute totals to individual PEs after scheduling).
-    """
-    if mask is None:
-        return PEOpStats(*(int(arrays[key].sum()) for key in _kernels.STAT_KEYS))
-    return PEOpStats(*(int(arrays[key][mask].sum()) for key in _kernels.STAT_KEYS))
-
-
-def _arrays_from_stats(stats: Sequence[PEOpStats]) -> _kernels.StatArrays:
-    """Column-wise (SoA) view of a list of per-op stats."""
-    matrix = np.asarray(stats, dtype=np.int64).reshape(len(stats), len(_kernels.STAT_KEYS))
-    return {key: matrix[:, index] for index, key in enumerate(_kernels.STAT_KEYS)}
-
-
-def execute_ops_arrays(
-    ops: Sequence[RowOp],
-    zero_skipping: bool = True,
-    amortize_weight_load: bool = False,
-    backend: str = "vector",
-) -> tuple[list[np.ndarray], _kernels.StatArrays]:
-    """Stateless batch execution returning event counts in SoA form.
-
-    This is the engine's native interface — per-op results plus one int64
-    array per :class:`PEOpStats` field — and the shared primitive behind
-    ``PE.run_batch``, ``PEGroup.run_batch`` and ``Controller.run_batch``.
-    It touches no PE's accumulated totals, so callers can attribute the
-    stats to whichever PE the schedule assigns.  Use :func:`execute_ops`
-    when per-op ``PEOpStats`` objects are more convenient than arrays.
-    """
-    if backend not in PE_BACKENDS:
-        raise ValueError(f"unknown PE backend {backend!r}; expected one of {PE_BACKENDS}")
-    ops = list(ops)
-    if not ops:
-        return [], _kernels.execute_batch([], zero_skipping, amortize_weight_load)[1]
-    if backend == "scalar":
-        results, stats = _run_scalar_batch(ops, zero_skipping, amortize_weight_load)
-        return results, _arrays_from_stats(stats)
-    return _kernels.execute_batch(ops, zero_skipping, amortize_weight_load)
-
-
-def execute_ops(
-    ops: Sequence[RowOp],
-    zero_skipping: bool = True,
-    amortize_weight_load: bool = False,
-    backend: str = "vector",
-) -> tuple[list[np.ndarray], list[PEOpStats]]:
-    """Stateless batch execution returning one :class:`PEOpStats` per op."""
-    if backend == "scalar":
-        return _run_scalar_batch(ops, zero_skipping, amortize_weight_load)
-    results, arrays = execute_ops_arrays(ops, zero_skipping, amortize_weight_load, backend)
-    return results, stats_from_arrays(arrays)
-
-
 class PE:
     """A single processing element.
 
@@ -152,121 +70,32 @@ class PE:
         previous operation's drain (the controller schedules row operations
         that reuse the same kernel row back to back), so they do not add
         cycles; they are still counted as register loads for energy.
-    backend:
-        ``"vector"`` (default) executes through the pooled numpy kernels;
-        ``"scalar"`` through the original per-operand Python loops.  Both
-        produce bit-identical values and stats.
     """
 
-    def __init__(
-        self,
-        zero_skipping: bool = True,
-        amortize_weight_load: bool = False,
-        backend: str = "vector",
-    ) -> None:
-        if backend not in PE_BACKENDS:
-            raise ValueError(
-                f"unknown PE backend {backend!r}; expected one of {PE_BACKENDS}"
-            )
+    def __init__(self, zero_skipping: bool = True, amortize_weight_load: bool = False) -> None:
         self.zero_skipping = zero_skipping
         self.amortize_weight_load = amortize_weight_load
-        self.backend = backend
         self.total_stats = PEOpStats.zero()
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
     def run(self, op: RowOp) -> tuple[np.ndarray, PEOpStats]:
         """Execute one row operation; returns (result, stats)."""
-        if not isinstance(op, (SRCOp, MSRCOp, OSRCOp)):
-            raise TypeError(f"unsupported op type {type(op).__name__}")
-        if self.backend == "scalar":
-            result, stats = _run_scalar(op, self.zero_skipping, self.amortize_weight_load)
+        if isinstance(op, SRCOp):
+            execute = _run_src
+        elif isinstance(op, MSRCOp):
+            execute = _run_msrc
+        elif isinstance(op, OSRCOp):
+            execute = _run_osrc
         else:
-            results, stats_list = execute_ops(
-                [op], self.zero_skipping, self.amortize_weight_load, self.backend
-            )
-            result, stats = results[0], stats_list[0]
+            raise TypeError(f"unsupported op type {type(op).__name__}")
+        result, stats = execute(op, self.zero_skipping, self.amortize_weight_load)
         self.total_stats = self.total_stats + stats
         return result, stats
 
-    def run_batch(
-        self, ops: Sequence[RowOp]
-    ) -> tuple[list[np.ndarray], list[PEOpStats]]:
-        """Execute a batch of row operations with pooled kernels.
 
-        Equivalent to ``[self.run(op) for op in ops]`` — same results, same
-        per-op stats, same ``total_stats`` accumulation — but the vector
-        backend executes the whole batch in a handful of numpy calls.
-        """
-        results, stats_list = execute_ops(
-            ops, self.zero_skipping, self.amortize_weight_load, self.backend
-        )
-        for stats in stats_list:
-            self.total_stats = self.total_stats + stats
-        return results, stats_list
-
-    # Per-type entry points, kept for API compatibility and targeted tests.
-    def run_src(self, op: SRCOp) -> tuple[np.ndarray, PEOpStats]:
-        """Sparse Row Convolution: dense kernel row x sparse input row."""
-        if self.backend == "scalar":
-            return _scalar_src(op, self.zero_skipping, self.amortize_weight_load)
-        results, stats = execute_ops(
-            [op], self.zero_skipping, self.amortize_weight_load, self.backend
-        )
-        return results[0], stats[0]
-
-    def run_msrc(self, op: MSRCOp) -> tuple[np.ndarray, PEOpStats]:
-        """Masked Sparse Row Convolution: scatter dO into masked dI positions."""
-        if self.backend == "scalar":
-            return _scalar_msrc(op, self.zero_skipping, self.amortize_weight_load)
-        results, stats = execute_ops(
-            [op], self.zero_skipping, self.amortize_weight_load, self.backend
-        )
-        return results[0], stats[0]
-
-    def run_osrc(self, op: OSRCOp) -> tuple[np.ndarray, PEOpStats]:
-        """Output Store Row Convolution: two sparse rows, K-element result."""
-        if self.backend == "scalar":
-            return _scalar_osrc(op, self.zero_skipping, self.amortize_weight_load)
-        results, stats = execute_ops(
-            [op], self.zero_skipping, self.amortize_weight_load, self.backend
-        )
-        return results[0], stats[0]
-
-
-# ---------------------------------------------------------------------------
-# Scalar backend — the executable specification of the PE semantics
-# ---------------------------------------------------------------------------
-
-def _run_scalar_batch(
-    ops: Sequence[RowOp], zero_skipping: bool, amortize_weight_load: bool
-) -> tuple[list[np.ndarray], list[PEOpStats]]:
-    results: list[np.ndarray] = []
-    stats: list[PEOpStats] = []
-    for op in ops:
-        result, op_stats = _run_scalar(op, zero_skipping, amortize_weight_load)
-        results.append(result)
-        stats.append(op_stats)
-    return results, stats
-
-
-def _run_scalar(
-    op: RowOp, zero_skipping: bool, amortize_weight_load: bool
-) -> tuple[np.ndarray, PEOpStats]:
-    if isinstance(op, SRCOp):
-        return _scalar_src(op, zero_skipping, amortize_weight_load)
-    if isinstance(op, MSRCOp):
-        return _scalar_msrc(op, zero_skipping, amortize_weight_load)
-    if isinstance(op, OSRCOp):
-        return _scalar_osrc(op, zero_skipping, amortize_weight_load)
-    raise TypeError(f"unsupported op type {type(op).__name__}")  # pragma: no cover
-
-
-def _scalar_src(
+def _run_src(
     op: SRCOp, zero_skipping: bool, amortize_weight_load: bool
 ) -> tuple[np.ndarray, PEOpStats]:
-    """SRC — Forward step."""
+    """SRC (Forward step): dense kernel row x sparse input row."""
     kernel = op.kernel_row
     kernel_size = kernel.size
     out = np.zeros(op.out_len, dtype=np.float64)
@@ -311,10 +140,10 @@ def _scalar_src(
     return out, stats
 
 
-def _scalar_msrc(
+def _run_msrc(
     op: MSRCOp, zero_skipping: bool, amortize_weight_load: bool
 ) -> tuple[np.ndarray, PEOpStats]:
-    """MSRC — GTA step."""
+    """MSRC (GTA step): scatter dO into the ReLU-masked dI positions."""
     kernel = op.kernel_row
     kernel_size = kernel.size
     out = np.zeros(op.out_len, dtype=np.float64)
@@ -374,10 +203,10 @@ def _scalar_msrc(
     return out_unmasked, stats
 
 
-def _scalar_osrc(
+def _run_osrc(
     op: OSRCOp, zero_skipping: bool, amortize_weight_load: bool
 ) -> tuple[np.ndarray, PEOpStats]:
-    """OSRC — GTW step."""
+    """OSRC (GTW step): two sparse rows in, a K-element dW row out."""
     del amortize_weight_load  # OSRC loads no kernel row
     kernel_size = op.kernel_size
     dw = np.zeros(kernel_size, dtype=np.float64)

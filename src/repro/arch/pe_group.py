@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.pe import PE, PEOpStats, execute_ops_arrays, stats_total
+from repro.arch.pe import PE, PEOpStats
 from repro.arch.ppu import PPU
 from repro.dataflow.ops import RowOp
 
@@ -36,16 +36,11 @@ class PEGroup:
         num_pes: int = 3,
         zero_skipping: bool = True,
         amortize_weight_load: bool = False,
-        backend: str = "vector",
     ) -> None:
         if num_pes <= 0:
             raise ValueError(f"num_pes must be positive, got {num_pes}")
         self.pes = [
-            PE(
-                zero_skipping=zero_skipping,
-                amortize_weight_load=amortize_weight_load,
-                backend=backend,
-            )
+            PE(zero_skipping=zero_skipping, amortize_weight_load=amortize_weight_load)
             for _ in range(num_pes)
         ]
         self.ppu = PPU()
@@ -76,56 +71,4 @@ class PEGroup:
         cycles = max(max(pe_cycles), 0)
         return GroupResult(
             results=results, stats=total_stats, cycles=cycles, ppu_cycles=ppu_cycles
-        )
-
-    def run_batch(
-        self,
-        ops: list[RowOp],
-        apply_relu: bool = False,
-        accumulate_gradients: bool = False,
-    ) -> GroupResult:
-        """Batched equivalent of :meth:`run_ops` (identical results and stats).
-
-        The numerical work of all ops executes first through the pooled
-        vector kernels (one set of numpy calls for the whole batch); the
-        greedy least-loaded schedule is then replayed over the per-op cycle
-        counts, so PE attribution, group cycles and PPU accounting match
-        :meth:`run_ops` exactly.
-        """
-        first = self.pes[0]
-        results, stat_arrays = execute_ops_arrays(
-            ops,
-            zero_skipping=first.zero_skipping,
-            amortize_weight_load=first.amortize_weight_load,
-            backend=first.backend,
-        )
-
-        # Replay the greedy least-loaded schedule over the per-op cycle
-        # counts (plain-int loop), then attribute per-PE stat totals with one
-        # bincount per field — identical outcome to run_ops' per-op updates.
-        num_pes = len(self.pes)
-        pe_cycles = [0] * num_pes
-        assignment = np.zeros(len(results), dtype=np.int64)
-        for index, op_cycles in enumerate(stat_arrays["cycles"].tolist()):
-            pe_index = min(range(num_pes), key=pe_cycles.__getitem__)
-            assignment[index] = pe_index
-            pe_cycles[pe_index] += op_cycles
-        for pe_index, pe in enumerate(self.pes):
-            mine = assignment == pe_index
-            if mine.any():
-                pe.total_stats = pe.total_stats + stats_total(stat_arrays, mask=mine)
-
-        ppu_cycles = 0
-        for result in results:
-            _, row_cycles = self.ppu.process_row(
-                result, apply_relu=apply_relu, accumulate_gradients=accumulate_gradients
-            )
-            ppu_cycles += row_cycles
-
-        cycles = max(max(pe_cycles), 0)
-        return GroupResult(
-            results=results,
-            stats=stats_total(stat_arrays),
-            cycles=cycles,
-            ppu_cycles=ppu_cycles,
         )

@@ -1,15 +1,10 @@
 """``python -m repro bench`` — the staged performance benchmark.
 
 Times the stages of the evaluation pipeline — reduced-model *training*
-(density measurement), program *compilation*, workload *simulation* and the
-row-operation *validation* path — and writes the measurements to
-``BENCH_repro.json``, seeding the repository's performance trajectory.
-
-The row-op validation stage doubles as the equivalence benchmark for the
-vectorized execution engine: it decomposes one convolution layer into its
-full SRC/MSRC/OSRC operation set, executes it on both PE backends, asserts
-bit-identical values and event counts, and reports the scalar/vector speedup
-(the acceptance bar is >= 10x).
+(density measurement), program *compilation* and workload *simulation* — and
+writes the measurements to ``BENCH_repro.json``, seeding the repository's
+performance trajectory.  The final ``report`` stage only packages those
+timings, so every stage timing measures its own stage.
 """
 
 from __future__ import annotations
@@ -22,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.api import (
     ExperimentReport,
     ExperimentRequest,
@@ -34,21 +27,10 @@ from repro.api import (
     get_experiment,
     register_experiment,
 )
-from repro.arch.pe import execute_ops, execute_ops_arrays, stats_from_arrays
 from repro.dataflow.compiler import compile_training_iteration
-from repro.dataflow.decompose import (
-    accumulate_forward,
-    accumulate_gta,
-    accumulate_gtw,
-    decompose_forward,
-    decompose_gta,
-    decompose_gtw,
-)
-from repro.dataflow.reference import forward_by_rows, gta_by_rows, gtw_by_rows
 from repro.eval.common import ExperimentScale
 from repro.eval.fig8 import densities_for_workload, train_stage
 from repro.explore.cache import ResultCache
-from repro.models.spec import ConvLayerSpec, ConvStructure
 from repro.models.zoo import get_model_spec
 from repro.sim.runner import WorkloadJob, _run_job
 
@@ -64,50 +46,12 @@ SMOKE_SCALE = ExperimentScale.smoke()
 FULL_SCALE = ExperimentScale.quick()
 
 
-def _rowop_layer(smoke: bool) -> ConvLayerSpec:
-    """The convolution layer the row-op validation stage decomposes.
-
-    The full-scale layer exercises the large-kernel geometry class of the
-    paper's workloads (AlexNet's 5x5/11x11 convolutions, ResNet's 7x7 stem)
-    at reduced channel counts and unit stride — the densest row-pairing
-    pattern — so the scalar reference pass stays affordable while every
-    operand still pairs with K kernel taps.
-    """
-    if smoke:
-        return ConvLayerSpec(
-            name="bench_conv_smoke",
-            in_channels=4,
-            out_channels=8,
-            kernel=3,
-            stride=1,
-            padding=1,
-            in_height=12,
-            in_width=12,
-            structure=ConvStructure.CONV_RELU,
-        )
-    return ConvLayerSpec(
-        name="bench_conv",
-        in_channels=6,
-        out_channels=12,
-        kernel=7,
-        stride=1,
-        padding=3,
-        in_height=24,
-        in_width=24,
-        structure=ConvStructure.CONV_RELU,
-    )
-
-
 @dataclass
 class BenchResult:
     """All stage timings of one ``repro bench`` run."""
 
     smoke: bool
     stages: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-    @property
-    def rowop_speedup(self) -> float:
-        return float(self.stages["rowop_validate"]["speedup"])
 
     def stage_quantiles(self) -> dict[str, dict[str, Any]]:
         """Per-stage p50/p95 from the process-global metrics registry.
@@ -130,14 +74,13 @@ class BenchResult:
 
     def to_payload(self) -> dict[str, Any]:
         return {
-            "schema": 1,
+            "schema": 2,
             "bench": "repro",
             "smoke": self.smoke,
             "workload": "/".join(BENCH_WORKLOAD[0]),
             "created_unix": time.time(),
             "stages": self.stages,
             "metrics": {"stage_seconds": self.stage_quantiles()},
-            "rowop_speedup": self.rowop_speedup,
         }
 
     def format(self) -> str:
@@ -149,107 +92,7 @@ class BenchResult:
                 if key != "seconds"
             )
             lines.append(f"{name:<16} {stage['seconds']:>10.3f}  {notes}")
-        lines.append(f"row-op scalar/vector speedup: {self.rowop_speedup:.1f}x")
         return "\n".join(lines)
-
-
-def _bench_rowops(smoke: bool, seed: int = 7) -> dict[str, Any]:
-    """Time and cross-validate both PE backends on one decomposed layer."""
-    layer = _rowop_layer(smoke)
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(layer.in_channels, layer.in_height, layer.in_width))
-    x *= rng.random(x.shape) < 0.5
-    weight = rng.normal(
-        size=(layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-    )
-    grad_out = rng.normal(size=(layer.out_channels, layer.out_height, layer.out_width))
-    grad_out *= rng.random(grad_out.shape) < 0.3
-    mask = rng.random((layer.in_channels, layer.in_height, layer.in_width)) < 0.5
-
-    ops = (
-        decompose_forward(layer, x, weight)
-        + decompose_gta(layer, grad_out, weight, mask)
-        + decompose_gtw(layer, grad_out, x)
-    )
-
-    # Untimed warm-up so the timed vector passes do not pay one-off numpy
-    # setup, page-fault and allocator costs.
-    execute_ops_arrays(ops, backend="vector")
-
-    # Validate both PE modes: the sparse (zero-skipping) dataflow and the
-    # dense-baseline PE that the paper's comparison also simulates.  The
-    # vector pass is cheap enough to repeat, so its time is the best of two
-    # runs (standard noise suppression); the scalar pass runs once.
-    scalar_seconds = 0.0
-    vector_seconds = 0.0
-    vector_results = None
-    for zero_skipping in (True, False):
-        start = time.perf_counter()
-        scalar_results, scalar_stats = execute_ops(
-            ops, zero_skipping=zero_skipping, backend="scalar"
-        )
-        scalar_seconds += time.perf_counter() - start
-
-        mode_seconds = []
-        for _ in range(2):
-            start = time.perf_counter()
-            mode_results, vector_arrays = execute_ops_arrays(
-                ops, zero_skipping=zero_skipping, backend="vector"
-            )
-            mode_seconds.append(time.perf_counter() - start)
-        vector_seconds += min(mode_seconds)
-
-        # Hard equivalence gate: values and every per-op event count must be
-        # bit-identical between the backends.
-        for index, (scalar_row, vector_row) in enumerate(
-            zip(scalar_results, mode_results)
-        ):
-            if not np.array_equal(scalar_row, vector_row):
-                raise AssertionError(
-                    f"row-op {index} (zero_skipping={zero_skipping}): "
-                    "scalar/vector values differ"
-                )
-        if scalar_stats != stats_from_arrays(vector_arrays):
-            raise AssertionError(
-                f"row-op stats differ between backends (zero_skipping={zero_skipping})"
-            )
-        if zero_skipping:
-            vector_results = mode_results
-
-    # And the decomposition itself stays exact against the row-wise reference.
-    n_fwd = layer.out_channels * layer.out_height * layer.in_channels * layer.kernel
-    n_gta = layer.in_channels * layer.out_channels * layer.out_height * layer.kernel
-    fwd_ops, gta_ops, gtw_ops = (
-        ops[:n_fwd],
-        ops[n_fwd : n_fwd + n_gta],
-        ops[n_fwd + n_gta :],
-    )
-    fwd = accumulate_forward(layer, fwd_ops, vector_results[:n_fwd])
-    gta = accumulate_gta(layer, gta_ops, vector_results[n_fwd : n_fwd + n_gta])
-    gtw = accumulate_gtw(layer, gtw_ops, vector_results[n_fwd + n_gta :])
-    np.testing.assert_allclose(
-        fwd, forward_by_rows(x, weight, None, layer.stride, layer.padding), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        gta,
-        gta_by_rows(
-            grad_out, weight, x.shape, layer.stride, layer.padding, mask=mask
-        ),
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        gtw, gtw_by_rows(grad_out, x, layer.kernel, layer.stride, layer.padding),
-        atol=1e-12,
-    )
-
-    return {
-        "seconds": vector_seconds,
-        "scalar_seconds": scalar_seconds,
-        "vector_seconds": vector_seconds,
-        "speedup": scalar_seconds / max(vector_seconds, 1e-12),
-        "ops": len(ops),
-        "exact": True,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +166,6 @@ def _report_stage(ctx: PipelineContext) -> ExperimentReport:
         "speedup": float(comparison.speedup),
         "energy_efficiency": float(comparison.energy_efficiency),
     }
-    # Row-op validation: both PE backends over one decomposed layer.
-    result.stages["rowop_validate"] = _bench_rowops(smoke)
     return ExperimentReport(
         payload=result.to_payload(), summary=result.format(), native=result
     )
@@ -332,7 +173,7 @@ def _report_stage(ctx: PipelineContext) -> ExperimentReport:
 
 @register_experiment(
     "bench",
-    description="Staged performance benchmark (train/compile/simulate/row-op validate)",
+    description="Staged performance benchmark (train/compile/simulate)",
     category="validation",
 )
 def build_bench_pipeline(request: ExperimentRequest) -> Pipeline:
@@ -342,7 +183,7 @@ def build_bench_pipeline(request: ExperimentRequest) -> Pipeline:
             Stage("train", _train_stage, "measure densities (timed, cached)"),
             Stage("compile", _compile_stage, "lower to instruction programs"),
             Stage("simulate", _simulate_stage, "SparseTrain vs dense baseline"),
-            Stage("report", _report_stage, "stage timings + row-op validation"),
+            Stage("report", _report_stage, "package the stage timings"),
         ],
     )
 
@@ -391,15 +232,9 @@ def check_regression(
 
     Returns ``(violations, checked)``: human-readable violation strings
     (empty = pass) and notes describing every comparison actually made.
-    Two gates, both relative with the same ``tolerance`` band:
-
-    * ``rowop_speedup`` must not drop more than ``tolerance`` below the
-      baseline — the vectorized-engine advantage is the repository's
-      headline performance claim;
-    * each stage's ``p95`` (from ``metrics.stage_seconds``) must not exceed
-      the baseline by more than ``tolerance``, skipping stages whose
-      baseline p95 sits under ``min_stage_seconds`` (pure noise) or that
-      either run lacks.
+    Each stage's ``p95`` (from ``metrics.stage_seconds``) must not exceed the
+    baseline by more than ``tolerance``; stages whose baseline p95 sits under
+    ``min_stage_seconds`` (pure noise) or that either run lacks are skipped.
 
     Raises ``ValueError`` when the two payloads ran at different scales
     (``smoke`` flags differ) — comparing a smoke run against a full-scale
@@ -413,20 +248,6 @@ def check_regression(
         )
     violations: list[str] = []
     checked: list[str] = []
-
-    base_speedup = float(baseline.get("rowop_speedup", 0.0))
-    cur_speedup = float(current.get("rowop_speedup", 0.0))
-    floor = base_speedup * (1.0 - tolerance)
-    checked.append(
-        f"rowop_speedup {cur_speedup:.2f}x vs baseline {base_speedup:.2f}x "
-        f"(floor {floor:.2f}x)"
-    )
-    if cur_speedup < floor:
-        violations.append(
-            f"rowop_speedup regressed: {cur_speedup:.2f}x < "
-            f"{floor:.2f}x ({base_speedup:.2f}x baseline - {tolerance:.0%})"
-        )
-
     base_stages = (baseline.get("metrics") or {}).get("stage_seconds") or {}
     cur_stages = (current.get("metrics") or {}).get("stage_seconds") or {}
     for stage, base_info in base_stages.items():

@@ -8,7 +8,6 @@ from repro.dataflow.compiler import (
 from repro.dataflow.compressed import (
     CompressedFeatureMap,
     CompressedRow,
-    CompressedRowBatch,
     compress_feature_map,
     compression_ratio,
 )
@@ -51,7 +50,6 @@ from repro.dataflow.reference import (
 
 __all__ = [
     "CompressedRow",
-    "CompressedRowBatch",
     "CompressedFeatureMap",
     "compress_feature_map",
     "compression_ratio",

@@ -11,18 +11,11 @@ skipped.
 feature map; ``compress_feature_map`` applies it row-wise to a (C, H, W)
 tensor and reports the resulting storage footprint, which the energy model
 uses to count buffer traffic.
-
-``CompressedRowBatch`` is the structure-of-arrays counterpart used by the
-vectorized execution engine: the values/offsets of many rows pooled into two
-flat arrays plus per-row extents, so a whole layer-step of row operations can
-be consumed by a handful of numpy gather/scatter calls instead of a Python
-loop per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,135 +90,6 @@ class CompressedRow:
             raise ValueError(f"offset_packing must be positive, got {offset_packing}")
         offset_words = int(np.ceil(self.nnz / offset_packing))
         return self.nnz + offset_words
-
-
-@dataclass(frozen=True)
-class CompressedRowBatch:
-    """Structure-of-arrays layout for a batch of compressed rows.
-
-    All values and offsets are pooled into two flat arrays; ``row_starts`` is
-    the (n_rows + 1)-element extents vector such that row ``i`` owns the slice
-    ``[row_starts[i], row_starts[i + 1])`` of both pools.  ``lengths`` keeps
-    every row's logical (dense) length, which may differ between rows.
-
-    This is the operand layout the vectorized PE kernels consume: one batch
-    per layer-step means the per-operand arithmetic of hundreds of row
-    operations happens in single numpy calls.
-    """
-
-    values: np.ndarray      # (total_nnz,) pooled non-zero values
-    offsets: np.ndarray     # (total_nnz,) pooled column indices
-    row_starts: np.ndarray  # (n_rows + 1,) extents into the pools
-    lengths: np.ndarray     # (n_rows,) logical row lengths
-
-    def __post_init__(self) -> None:
-        if self.values.shape != self.offsets.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} != offsets shape {self.offsets.shape}"
-            )
-        if self.row_starts.ndim != 1 or self.row_starts.size == 0:
-            raise ValueError("row_starts must be a non-empty 1-D extents vector")
-        if self.lengths.shape != (self.row_starts.size - 1,):
-            raise ValueError(
-                f"lengths shape {self.lengths.shape} inconsistent with "
-                f"{self.row_starts.size - 1} rows"
-            )
-        if int(self.row_starts[0]) != 0 or int(self.row_starts[-1]) != self.values.size:
-            raise ValueError("row_starts must span exactly the pooled arrays")
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.lengths.size)
-
-    def __len__(self) -> int:
-        return self.n_rows
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def nnz_per_row(self) -> np.ndarray:
-        """Stored-value count of every row, shape (n_rows,)."""
-        return np.diff(self.row_starts)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[CompressedRow] | Iterable[CompressedRow]) -> "CompressedRowBatch":
-        """Pool a sequence of :class:`CompressedRow` into SoA form."""
-        rows = list(rows)
-        value_arrays = [row.values for row in rows]
-        counts = np.fromiter(map(len, value_arrays), dtype=np.int64, count=len(rows))
-        row_starts = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_starts[1:])
-        if rows:
-            values = np.concatenate(value_arrays)
-            offsets = np.concatenate([row.offsets for row in rows])
-        else:
-            values = np.zeros(0, dtype=np.float64)
-            offsets = np.zeros(0, dtype=np.int64)
-        lengths = np.fromiter((row.length for row in rows), dtype=np.int64, count=len(rows))
-        return cls(
-            values=np.asarray(values, dtype=np.float64),
-            offsets=np.asarray(offsets, dtype=np.int64),
-            row_starts=row_starts,
-            lengths=lengths,
-        )
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "CompressedRowBatch":
-        """Compress every row of a dense 2-D array into one batch."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-        flat_offsets = np.flatnonzero(matrix)
-        row_ids, offsets = np.divmod(flat_offsets, matrix.shape[1])
-        counts = np.bincount(row_ids, minlength=matrix.shape[0]).astype(np.int64)
-        row_starts = np.zeros(matrix.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_starts[1:])
-        return cls(
-            values=matrix.reshape(-1)[flat_offsets].copy(),
-            offsets=offsets.astype(np.int64),
-            row_starts=row_starts,
-            lengths=np.full(matrix.shape[0], matrix.shape[1], dtype=np.int64),
-        )
-
-    def row(self, index: int) -> CompressedRow:
-        """Materialise one row back into AoS form."""
-        start, stop = int(self.row_starts[index]), int(self.row_starts[index + 1])
-        return CompressedRow(
-            values=self.values[start:stop],
-            offsets=self.offsets[start:stop],
-            length=int(self.lengths[index]),
-        )
-
-    def __iter__(self) -> Iterator[CompressedRow]:
-        for index in range(self.n_rows):
-            yield self.row(index)
-
-    def to_dense(self) -> np.ndarray:
-        """Decompress into a dense 2-D array (rows must share one length)."""
-        if self.n_rows == 0:
-            return np.zeros((0, 0), dtype=np.float64)
-        width = int(self.lengths[0])
-        if np.any(self.lengths != width):
-            raise ValueError("to_dense requires all rows to have the same length")
-        dense = np.zeros(self.n_rows * width, dtype=np.float64)
-        row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), self.nnz_per_row)
-        dense[row_ids * width + self.offsets] = self.values
-        return dense.reshape(self.n_rows, width)
-
-    def flat_positions(self) -> np.ndarray:
-        """Pool-relative dense position of every stored value.
-
-        Returns ``concat_starts[row] + offset`` where ``concat_starts`` is the
-        cumulative sum of ``lengths`` — i.e. the index of each value in the
-        concatenation of all dense rows.  This is the scatter target the
-        vectorized kernels use to build pooled dense/membership arrays.
-        """
-        dense_starts = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(self.lengths, out=dense_starts[1:])
-        row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), self.nnz_per_row)
-        return dense_starts[row_ids] + self.offsets
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Closed-form operation and traffic counts for the sparse training dataflow.
 
-The PE-level simulator in :mod:`repro.arch.pe` counts cycles by executing row
-operations one operand at a time; that is exact but far too slow for
-full-size AlexNet/ResNet layers.  This module provides the layer-level
-expected-value counterparts: given a :class:`~repro.models.spec.ConvLayerSpec`
-and the operand densities of the layer, it computes how many row operations,
-processed operands, MACs, register accesses and buffer words each of the three
-training steps needs.  The architecture simulator turns these into cycles and
-energy.
+The PE model in :mod:`repro.arch.pe` counts cycles by executing row
+operations one operand at a time.  It is the executable specification of the
+dataflow, exact but far too slow for full-size AlexNet/ResNet layers, so only
+the tests and the dataflow walkthrough run it.  This module provides the
+layer-level expected-value counterparts: given a
+:class:`~repro.models.spec.ConvLayerSpec` and the operand densities of the
+layer, it computes how many row operations, processed operands, MACs, register
+accesses and buffer words each of the three training steps needs.  The
+architecture simulator turns these into cycles and energy, and every paper
+figure, sweep and serve job is costed this way.
 
 These are the only count formulas in the repository.  Every one is plain
 arithmetic on the attributes it reads, so it evaluates element-wise on two

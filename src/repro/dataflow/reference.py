@@ -12,11 +12,10 @@ The paper decomposes every 2-D convolution of the three training steps into
   an input row with an output-gradient row, accumulated over output rows.
 
 These functions execute the decomposition numerically and provide the ground
-truth the PE-level cycle simulator validates against.  They are implemented
-with vectorized numpy window/gather arithmetic (``sliding_window_view`` plus
-``einsum`` contractions and K x K strided scatter-adds) so the validated path
-runs at numpy speed; the original per-element loop semantics live on as the
-scalar PE backend (``PE(backend="scalar")``) for differential testing.
+truth the PE model (:mod:`repro.arch.pe`) is checked against.  They are
+implemented with vectorized numpy window/gather arithmetic
+(``sliding_window_view`` plus ``einsum`` contractions and K x K strided
+scatter-adds); the per-operand loop semantics live in the PE model.
 """
 
 from __future__ import annotations

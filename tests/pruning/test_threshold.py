@@ -41,6 +41,12 @@ class TestQuantileFactor:
         assert quantile_factor(0.0) == 0.0
         assert quantile_factor(1.0) == float("inf")
 
+    def test_probability_rounding_to_one_is_infinite(self):
+        # (1 + p) / 2 rounds to exactly 1.0 here, where Phi^{-1} is +inf.
+        p = 0.9999999999999999
+        assert p < 1.0 and (1.0 + p) / 2.0 == 1.0
+        assert quantile_factor(p) == float("inf")
+
     def test_monotonically_increasing(self):
         values = [quantile_factor(p) for p in (0.1, 0.5, 0.9, 0.99)]
         assert values == sorted(values)
