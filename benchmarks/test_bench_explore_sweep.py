@@ -26,7 +26,7 @@ def sweep_points():
 
 @pytest.mark.benchmark(group="explore-sweep")
 def test_grid_sweep(benchmark, capsys, sweep_points):
-    engine = ExplorationEngine(cache=None, parallel=True)
+    engine = ExplorationEngine(cache=None)
     records = benchmark.pedantic(engine.run, args=(sweep_points,), rounds=1, iterations=1)
     assert len(records) == len(sweep_points)
 
@@ -46,11 +46,11 @@ def test_grid_sweep(benchmark, capsys, sweep_points):
 @pytest.mark.benchmark(group="explore-sweep")
 def test_cached_sweep(benchmark, capsys, sweep_points, tmp_path):
     cache_path = tmp_path / "cache.jsonl"
-    warm = ExplorationEngine(cache=ResultCache(cache_path), parallel=True)
+    warm = ExplorationEngine(cache=ResultCache(cache_path))
     warm.run(sweep_points)
 
     def cached_pass():
-        engine = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
+        engine = ExplorationEngine(cache=ResultCache(cache_path))
         records = engine.run(sweep_points)
         assert engine.stats.evaluated == 0
         assert engine.stats.cache_hits == len(sweep_points)

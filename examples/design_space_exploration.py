@@ -2,13 +2,13 @@
 """Design-space exploration: sweep the architecture grid, extract the frontier.
 
 Evaluates a PE-count x buffer-size x pruning-rate grid (the paper's design
-point sits in the middle of it) over two workloads through the parallel,
-cached exploration engine, then prints the per-workload latency/energy/area
+point sits in the middle of it) over two workloads through the cached
+exploration engine, then prints the per-workload latency/energy/area
 Pareto frontiers and the best point under each single objective.
 
 Run with:  python examples/design_space_exploration.py
            python examples/design_space_exploration.py --sample 24   (random subset)
-           python examples/design_space_exploration.py --no-cache    (force re-simulation)
+           python examples/design_space_exploration.py --no-cache    (force re-evaluation)
 
 A second run is near-instant: results are cached in .repro-cache/.
 The same sweep is available as `python -m repro sweep` / `python -m repro pareto`.
@@ -36,8 +36,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sample", type=int, default=None,
                         help="evaluate a seeded random subset of the grid")
-    parser.add_argument("--serial", action="store_true",
-                        help="evaluate in-process instead of a worker pool")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the persistent result cache")
     args = parser.parse_args()
@@ -48,7 +46,7 @@ def main() -> None:
           f"-> {len(points)} evaluations\n")
 
     cache = None if args.no_cache else ResultCache()
-    engine = ExplorationEngine(cache=cache, parallel=not args.serial)
+    engine = ExplorationEngine(cache=cache)
     start = time.perf_counter()
     records = engine.run(points)
     elapsed = time.perf_counter() - start

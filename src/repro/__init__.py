@@ -20,7 +20,7 @@ substrate they depend on:
 * :mod:`repro.sim` and :mod:`repro.eval` — end-to-end workload simulation and
   the harnesses regenerating the paper's Table I, Table II, Fig. 8 and Fig. 9.
 * :mod:`repro.explore` — design-space exploration over the simulator:
-  declarative sweep spaces, a parallel cached evaluation engine, Pareto
+  declarative sweep spaces, a cached column-evaluation engine, Pareto
   analysis and the ``python -m repro`` command line (:mod:`repro.cli`).
 * :mod:`repro.obs` — unified telemetry: process-global metrics (counters,
   gauges, streaming log-bucket histograms), structured trace spans with

@@ -5,10 +5,11 @@ Three pieces:
 * :mod:`repro.analytic.fidelity` — the :class:`Fidelity` enum and helpers;
   imported eagerly because the request layer depends on it at module load.
 * :mod:`repro.analytic.model` — the column evaluator: evaluates the
-  simulator's own formulas on numpy columns over batched design-point grids.
+  simulator's own formulas on numpy columns over batched design-point grids,
+  in the instruction-stream walk's order, so its records equal the walk's.
+  Every sweep evaluates here.
 * :mod:`repro.analytic.validate` — the ``analytic-validate`` experiment,
-  which bounds the summation-order difference between the column evaluator and
-  the instruction-stream walk.
+  which checks the column evaluator against the instruction-stream walk.
 
 ``model`` and ``validate`` are exposed lazily: they import the explore and
 api layers, and ``api.request`` imports this package for the fidelity enum —

@@ -1,26 +1,26 @@
 """The fidelity knob: which cost-model tier evaluates a request.
 
 Every experiment that owns a ``simulate`` stage accepts one of three tiers.
-There is one cost model; the tiers choose how it is driven:
+There is one cost model and one evaluation order.  Sweeps evaluate it on
+numpy columns (:mod:`repro.analytic.model`) and fig8/fig9 through the
+instruction-stream walk (``AcceleratorSimulator.run_program``) at every
+tier; the two give equal numbers, which the ``analytic-validate`` experiment
+checks.  The tiers choose what a sweep does around the evaluation:
 
 ``analytic``
-    The column evaluator (:mod:`repro.analytic.model`): the simulator's
-    formulas evaluated on numpy columns, so whole design grids cost a few
-    batched calls — microseconds per point.  It differs from the walk only
-    in summation order, which the ``analytic-validate`` experiment bounds.
-    Sweeps use it; fig8/fig9 run the walk at every tier.
+    No sweep cache: records carry ``analytic:`` keys and a full grid is
+    evaluated straight from its axes, so million-point grids cost
+    microseconds per point.
 ``vectorized``
-    The layer-level instruction-stream walk
-    (``AcceleratorSimulator.run_program``) — the default, and the tier every
-    seed result was produced at.
+    The default: the exploration engine, with content-hash keys and the
+    persistent sweep cache.
 ``scalar``
     Accepted, validated and hashed like the others, and runs the default
-    engine.  Serial execution is a run option (``--serial`` /
-    ``RunOptions(parallel=False)``), not a tier.
+    engine.
 
 The knob lives on :class:`~repro.api.request.ExperimentRequest` — it changes
-the provenance (and, within the error bounds, potentially the value) of the
-result, so it is content-hash-affecting.  ``RunOptions`` knobs, by contrast,
+the provenance of the result (its record keys), so it is
+content-hash-affecting.  ``RunOptions`` knobs, by contrast,
 must never change the result.  To keep every pre-existing request hash
 stable, the field is only serialized when it differs from
 :data:`DEFAULT_FIDELITY`.

@@ -1,41 +1,40 @@
-"""Batched evaluation of the cost model — the ``analytic`` fidelity tier.
+"""Batched evaluation of the cost model on numpy columns.
 
 The simulator's formulas — the step counts of :mod:`repro.dataflow.counts`,
 the machine model of :mod:`repro.arch.accelerator`, the weight tiling of
 :mod:`repro.arch.buffer`, :func:`~repro.arch.energy.energy_from_events` and
 :func:`~repro.arch.area.estimate_area` — are plain arithmetic on the
 attributes they read.  This module holds none of its own.  It evaluates
-those formulas on numpy columns instead of one layer's Python numbers, so a
-whole design grid — millions of (workload, architecture, density) points —
-costs a handful of vectorized calls instead of one instruction-stream walk
-per point.  What is here is batching:
+those formulas on ``(points, 1)`` numpy columns instead of one point's Python
+numbers, so a whole design grid — millions of (workload, architecture,
+density) points — costs one pass over the network's layers instead of one
+instruction-stream walk per point.  What is here is batching:
 
 * columnar grids whose attribute names match what the formulas read:
-  :class:`LayerGeometry` (``ConvLayerSpec``'s names, ``(layers,)``),
-  :class:`DensityGrid` (``LayerDensities``'s, broadcastable to
-  ``(points, layers)``), :class:`ArchGrid` (``ArchConfig``'s, ``(points,
-  1)``) and :class:`EnergyGrid` (``EnergyModel``'s, ``(points, 1)``);
+  :class:`DensityGrid` (``LayerDensities``'s, one grid per layer),
+  :class:`ArchGrid` (``ArchConfig``'s) and :class:`EnergyGrid`
+  (``EnergyModel``'s);
 * the column evaluator :func:`estimate_batch`, which does what
   ``AcceleratorSimulator.run_program`` does for one point — weight loads
-  before the FORWARD and GTA steps, per-step ``max(compute, dram)``, sums
-  over layers and steps — streaming one step's columns at a time;
+  before the FORWARD and GTA steps, per-step ``max(compute, dram)`` and
+  energy, totals folded in program order;
 * chunking and :class:`~repro.explore.engine.EvaluationRecord` building for
   design-point lists and full grids.
 
-Both evaluators run the same formulas, so they differ only in summation
-order (numpy reductions over layers vs the walk's Python loop) and in the
-last ulp of ``pow``; ``repro.analytic.validate`` bounds that at 1e-9.
+Both evaluators run the same formulas on the same layers in the same order,
+so their records are equal, not merely close; ``repro.analytic.validate``
+checks that against the walk.  Every sweep evaluates here, at every fidelity.
 
-Cache keys: analytic records are :class:`EvaluationRecord` objects whose
-``key`` is the point's simulator key salted with ``fidelity=analytic``
-(:func:`analytic_point_key`), so the two tiers can never collide in a
-:class:`~repro.explore.cache.ResultCache` or an engine dedup pass.
+Keys: :func:`evaluate_points_analytic` and :func:`evaluate_grid_analytic`
+name their records by :func:`analytic_point_key` (``analytic:``-prefixed, a
+few microseconds per point) unless the caller passes keys —
+:class:`~repro.explore.engine.ExplorationEngine` passes ``DesignPoint.key``,
+the persisted sweep-cache key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +54,13 @@ from repro.arch.config import (
     dense_baseline_config,
     sparsetrain_config,
 )
-from repro.arch.energy import EnergyModel, EventCounts, default_energy_model, energy_from_events
+from repro.arch.energy import (
+    EnergyBreakdown,
+    EnergyModel,
+    EventCounts,
+    default_energy_model,
+    energy_from_events,
+)
 from repro.dataflow.counts import STEP_COUNTS, StepCounts, StepKind
 from repro.explore.engine import (
     NATURAL_ACTIVATION_DENSITY,
@@ -69,8 +74,8 @@ from repro.models.zoo import get_model_spec
 from repro.obs import metrics
 from repro.pruning.threshold import expected_density_after_pruning
 
-# Evaluate workload groups in bounded slabs so million-point sweeps stay in a
-# few MB of (chunk, layers) scratch instead of materialising (N, layers).
+# Evaluate workload groups in bounded slabs so million-point sweeps keep each
+# step's temporaries to (chunk, 1) columns instead of (N, 1).
 CHUNK_POINTS = 32768
 
 
@@ -79,54 +84,8 @@ CHUNK_POINTS = 32768
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LayerGeometry:
-    """Per-layer geometry of one model as ``(L,)`` columns.
-
-    The fields are the :class:`~repro.models.spec.ConvLayerSpec` attributes
-    the count and tiling formulas read, so a geometry passes as their
-    ``layer``.  ``has_relu_mask`` is a 0/1 column.
-    """
-
-    names: tuple[str, ...]
-    kernel: np.ndarray
-    padding: np.ndarray
-    in_width: np.ndarray
-    in_height: np.ndarray
-    out_width: np.ndarray
-    out_height: np.ndarray
-    in_channels: np.ndarray
-    out_channels: np.ndarray
-    group_in_channels: np.ndarray
-    group_out_channels: np.ndarray
-    weight_count: np.ndarray
-    input_size: np.ndarray
-    output_size: np.ndarray
-    has_relu_mask: np.ndarray
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.names)
-
-    @classmethod
-    def from_spec(cls, spec: ModelSpec) -> "LayerGeometry":
-        layers = spec.conv_layers
-        columns = {
-            field.name: np.asarray([float(getattr(layer, field.name)) for layer in layers])
-            for field in fields(cls)
-            if field.name != "names"
-        }
-        return cls(names=tuple(layer.name for layer in layers), **columns)
-
-
-@lru_cache(maxsize=None)
-def workload_geometry(model: str, dataset: str) -> LayerGeometry:
-    """Memoized geometry of one registered workload."""
-    return LayerGeometry.from_spec(get_model_spec(model, dataset))
-
-
-@dataclass(frozen=True)
 class DensityGrid:
-    """Operand densities broadcastable to ``(points, layers)``.
+    """One layer's operand densities, as ``(points, 1)`` columns or scalars.
 
     The fields are the :class:`~repro.dataflow.counts.LayerDensities` names,
     so a grid passes as the formulas' ``densities``.
@@ -146,12 +105,12 @@ class DensityGrid:
     @classmethod
     def from_pruning_rates(
         cls,
-        geometry: LayerGeometry,
+        num_layers: int,
         pruning_rates: np.ndarray,
         natural_grad_density: float = NATURAL_GRADIENT_DENSITY,
         activation_density: float = NATURAL_ACTIVATION_DENSITY,
-    ) -> "DensityGrid":
-        """``(N, L)`` grid replicating ``explore.engine.analytic_densities``.
+    ) -> list["DensityGrid"]:
+        """Per-layer grids replicating ``explore.engine.analytic_densities``.
 
         The scalar closed form :func:`expected_density_after_pruning` is
         applied once per *unique* rate (its validation and edge-case branches
@@ -163,17 +122,18 @@ class DensityGrid:
             grad[rates == rate] = expected_density_after_pruning(
                 float(rate), natural_grad_density
             )
-        input_density = np.full((rates.size, geometry.num_layers), activation_density)
+        grad = grad[:, None]
+        activation = np.float64(activation_density)
+        grid = cls(
+            input_density=activation,
+            grad_output_density=grad,
+            mask_density=activation,
+            grad_input_density=np.minimum(1.0, grad * 2.0),
+            output_density=activation,
+        )
         # The first convolution reads the raw (dense) image — the
         # ``dense_first_layer_input`` behaviour of ``uniform_densities``.
-        input_density[:, 0] = 1.0
-        return cls(
-            input_density=input_density,
-            grad_output_density=grad[:, None],
-            mask_density=np.float64(activation_density),
-            grad_input_density=np.minimum(1.0, grad * 2.0)[:, None],
-            output_density=np.float64(activation_density),
-        )
+        return [replace(grid, input_density=np.float64(1.0))] + [grid] * (num_layers - 1)
 
 
 def _columns(cls, objects: Sequence) -> object:
@@ -241,59 +201,72 @@ class AnalyticMetrics:
         return AnalyticMetrics(self.cycles[index], self.latency_us[index], self.energy_uj[index])
 
 
-def _layer_sum(column) -> np.ndarray:
-    # keepdims: a (points, 1) total broadcasts against the (N, 1) grids
-    # element-wise, where a (points,) one would silently make (N, N).
-    return np.sum(column, axis=-1, keepdims=True)
-
-
-def _step_totals(counts: StepCounts, loaded_weights, arch: ArchGrid) -> EventCounts:
-    """One step's events summed over layers, as ``(points, 1)`` columns.
-
-    The step's ``(N, L)`` columns live only in this frame, so they are freed
-    before the next step's are built.
-    """
-    # The compiler loads a layer's weights before its FORWARD and its GTA
-    # step; GTW reuses the operands already streaming for its gradient rows.
-    weights = 0.0 if counts.step is StepKind.GTW else loaded_weights
+def _step_cost(counts: StepCounts, weights, arch: ArchGrid, energy: EnergyGrid):
+    """Cycles and energy of one (layer, step), as ``AcceleratorSimulator._run_step``."""
     store = store_dram_words(counts.dram_write_words, counts.step, arch)
     cycles = np.maximum(compute_cycles(counts, arch), dram_cycles(counts, weights, store, arch))
-    return EventCounts(
-        macs=_layer_sum(counts.macs),
-        reg_accesses=_layer_sum(counts.reg_accesses),
-        sram_words=_layer_sum(counts.sram_words),
-        dram_words=_layer_sum(dram_words(counts, weights, store)),
-        cycles=_layer_sum(cycles),
+    events = EventCounts(
+        macs=counts.macs,
+        reg_accesses=counts.reg_accesses,
+        sram_words=counts.sram_words,
+        dram_words=dram_words(counts, weights, store),
+        cycles=cycles,
     )
+    return cycles, energy_from_events(events, energy)
 
 
 def estimate_batch(
-    geometry: LayerGeometry,
-    densities: DensityGrid,
+    spec: ModelSpec,
+    densities: Sequence[DensityGrid] | None,
     arch: ArchGrid,
     energy: EnergyGrid,
     sparse: bool = True,
 ) -> AnalyticMetrics:
     """Evaluate one workload over a batch of design points in one call.
 
-    ``densities`` broadcasts to ``(N, L)`` against the ``(N, 1)`` columns of
-    ``arch``/``energy``; the dense path (``sparse=False``) ignores the
-    density grid entirely, exactly like compiling with ``sparse=False``.
-    Steps are evaluated one at a time and folded into per-point totals, so
-    peak memory is one step's ``(N, L)`` columns.
+    ``densities`` holds one grid per layer of ``spec`` (``None`` is all
+    dense, like compiling without a density map); its columns broadcast
+    against the ``(N, 1)`` columns of ``arch``/``energy``.  The dense path
+    (``sparse=False``) ignores the densities, exactly like compiling with
+    ``sparse=False``.
+
+    The layers and steps run in ``compile_training_iteration``'s order —
+    FORWARD from the first layer to the last, then GTA and GTW from the last
+    to the first — and cycles and each energy component are added up in
+    that order, as ``SimulationResult.total_cycles``/``total_energy`` add up
+    the walk's steps, so the totals equal the walk's.
     """
-    loaded = weight_dram_words(
-        geometry.weight_count,
-        weight_tiling_factor(geometry, densities, arch.buffer_words, sparse),
-        arch,
-    )
-    totals = EventCounts()
-    for step_counts in STEP_COUNTS.values():
-        totals = totals + _step_totals(step_counts(geometry, densities, sparse), loaded, arch)
+    layers = spec.conv_layers
+    if densities is None:
+        densities = [DensityGrid.dense()] * len(layers)
+    # The compiler loads a layer's weights before its FORWARD and its GTA
+    # step; GTW reuses the operands already streaming for its gradient rows.
+    loaded = [
+        weight_dram_words(
+            layer.weight_count,
+            weight_tiling_factor(layer, layer_densities, arch.buffer_words, sparse),
+            arch,
+        )
+        for layer, layer_densities in zip(layers, densities)
+    ]
+    forward = [(index, StepKind.FORWARD) for index in range(len(layers))]
+    backward = [
+        (index, step)
+        for index in reversed(range(len(layers)))
+        for step in (StepKind.GTA, StepKind.GTW)
+    ]
+    cycles = 0.0
+    energy_pj = EnergyBreakdown()
+    for index, step in forward + backward:
+        counts = STEP_COUNTS[step](layers[index], densities[index], sparse)
+        weights = 0.0 if step is StepKind.GTW else loaded[index]
+        step_cycles, step_energy = _step_cost(counts, weights, arch, energy)
+        cycles = cycles + step_cycles
+        energy_pj.add(step_energy)
     return AnalyticMetrics(
-        cycles=totals.cycles[:, 0],
-        latency_us=(totals.cycles / (arch.clock_ghz * 1e3))[:, 0],
-        energy_uj=energy_from_events(totals, energy).total_uj[:, 0],
+        cycles=cycles[:, 0],
+        latency_us=(cycles / (arch.clock_ghz * 1e3))[:, 0],
+        energy_uj=energy_pj.total_uj[:, 0],
     )
 
 
@@ -341,16 +314,14 @@ def _records(
 # ---------------------------------------------------------------------------
 
 def analytic_point_key(point: DesignPoint) -> str:
-    """Dedup/band-mapping key of a point at the analytic tier.
+    """Dedup key of a point in an ``analytic``-fidelity sweep.
 
-    Salted with the fidelity tier so analytic records can never collide with
-    simulator-tier cache entries.  Unlike ``DesignPoint.key`` — which expands
-    the override tuples into full config dicts because it names *persisted*
-    cache entries that must survive config-default changes — analytic keys
-    live only for the duration of one process (analytic records are never
-    written to the sweep cache), so a plain ``analytic:``-prefixed canonical
-    string is sufficient — and keeps key derivation (JSON + SHA-256 on the
-    simulator tier) off the million-point critical path.
+    Those sweeps write nothing to the sweep cache, so their keys live for
+    one process only: a plain canonical string, prefixed so it can never be
+    mistaken for a persisted ``DesignPoint.key``.  That key expands the
+    override tuples into full config dicts and hashes them (JSON + SHA-256),
+    which costs more than evaluating the point; this one keeps key
+    derivation off the million-point critical path.
     """
     return (
         f"analytic:{point.model}/{point.dataset}"
@@ -361,18 +332,21 @@ def analytic_point_key(point: DesignPoint) -> str:
 def evaluate_points_analytic(
     points: Sequence[DesignPoint],
     chunk_points: int = CHUNK_POINTS,
+    keys: Sequence[str] | None = None,
 ) -> list[EvaluationRecord]:
-    """Closed-form evaluation of a design-point batch.
+    """Evaluate a design-point batch on columns.
 
-    The batched counterpart of running ``evaluate_point`` over the list:
-    deduplicates by analytic key (first-seen order, the engine's contract),
-    groups by workload, and evaluates each group in vectorized slabs of
-    ``chunk_points``.  Records carry :func:`analytic_point_key` keys so they
-    stay distinct from simulator-tier records.
+    The batched counterpart of running ``evaluate_point`` over the list, with
+    equal records: deduplicates by key (first-seen order, the engine's
+    contract), groups by workload, and evaluates each group in slabs of
+    ``chunk_points``.  ``keys`` names the points (one per point, default
+    :func:`analytic_point_key`).
     """
+    if keys is None:
+        keys = [analytic_point_key(point) for point in points]
     unique: dict[str, DesignPoint] = {}
-    for point in points:
-        unique.setdefault(analytic_point_key(point), point)
+    for key, point in zip(keys, points):
+        unique.setdefault(key, point)
 
     groups: dict[tuple[str, str], list[tuple[str, DesignPoint]]] = {}
     for key, point in unique.items():
@@ -380,25 +354,28 @@ def evaluate_points_analytic(
 
     records: dict[str, EvaluationRecord] = {}
     for (model, dataset), entries in groups.items():
-        geometry = workload_geometry(model, dataset)
+        spec = get_model_spec(model, dataset)
         for start in range(0, len(entries), chunk_points):
-            keys, chunk = zip(*entries[start : start + chunk_points])
+            chunk_keys, chunk = zip(*entries[start : start + chunk_points])
             configs = [point.sparse_config() for point in chunk]
             rates = np.asarray([point.pruning_rate for point in chunk])
             sparse_arch = ArchGrid.from_configs(configs)
             energy = EnergyGrid.from_models([point.energy_model() for point in chunk])
             sparse = estimate_batch(
-                geometry, DensityGrid.from_pruning_rates(geometry, rates), sparse_arch, energy
+                spec,
+                DensityGrid.from_pruning_rates(spec.num_conv_layers, rates),
+                sparse_arch,
+                energy,
             )
             baseline = estimate_batch(
-                geometry,
-                DensityGrid.dense(),
+                spec,
+                None,
                 ArchGrid.from_configs([point.baseline_config() for point in chunk]),
                 energy,
                 sparse=False,
             )
             chunk_records = _records(
-                keys,
+                chunk_keys,
                 model,
                 dataset,
                 rates.tolist(),
@@ -409,7 +386,7 @@ def evaluate_points_analytic(
                 sparse,
                 baseline,
             )
-            records.update(zip(keys, chunk_records))
+            records.update(zip(chunk_keys, chunk_records))
     metrics().counter("analytic.points_evaluated").inc(len(unique))
     return [records[key] for key in unique]
 
@@ -505,17 +482,15 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
 
     records: list[EvaluationRecord] = []
     for model, dataset in plan.workloads:
-        geometry = workload_geometry(model, dataset)
+        spec = get_model_spec(model, dataset)
         prefix = f"analytic:{model}/{dataset}@"
-        baseline = estimate_batch(
-            geometry, DensityGrid.dense(), baseline_grid, energy, sparse=False
-        )
+        baseline = estimate_batch(spec, None, baseline_grid, energy, sparse=False)
         for lo in range(0, n_points, CHUNK_POINTS):
             rows = slice(lo, min(lo + CHUNK_POINTS, n_points))
             combos = combo_of_point[rows]
             sparse = estimate_batch(
-                geometry,
-                DensityGrid.from_pruning_rates(geometry, rate_col[rows]),
+                spec,
+                DensityGrid.from_pruning_rates(spec.num_conv_layers, rate_col[rows]),
                 arch_grid(sparse_base, combos),
                 energy,
             )
@@ -543,10 +518,8 @@ __all__ = [
     "ArchGrid",
     "DensityGrid",
     "EnergyGrid",
-    "LayerGeometry",
     "analytic_point_key",
     "estimate_batch",
     "evaluate_grid_analytic",
     "evaluate_points_analytic",
-    "workload_geometry",
 ]

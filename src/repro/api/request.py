@@ -291,8 +291,8 @@ class RunOptions:
     parallel:
         Master parallelism switch: ``False`` forces serial execution in
         every stage regardless of ``max_workers``; ``True`` (default) lets
-        the worker count decide (design-space sweeps additionally use the
-        self-sizing pool when ``max_workers`` is ``None``).
+        the worker count decide.  Design-space sweeps start no workers:
+        they evaluate on numpy columns in process.
     use_cache:
         Enable the persistent per-stage disk caches.
     cache_dir:

@@ -18,11 +18,11 @@ into cycles and energy.  The model is deliberately explicit:
 The per-step machine model is the module-level functions below.  They are
 plain arithmetic on the attributes they read, so they evaluate on one step's
 Python numbers (:meth:`AcceleratorSimulator.run_program`, the instruction-
-stream walk) and element-wise on numpy columns (the analytic tier,
+stream walk) and element-wise on numpy columns (the column evaluator,
 :func:`repro.analytic.model.estimate_batch`, passing an
-:class:`~repro.analytic.model.ArchGrid` for ``config``).  Only iteration and
-reduction differ between the two evaluators: the walk takes ``max`` and Python
-sums, the columns ``np.maximum`` and ``np.sum``.
+:class:`~repro.analytic.model.ArchGrid` for ``config``).  Both evaluators cost
+the steps in the compiled program's order and add them up in that order, so
+their totals are equal; only ``max`` becomes ``np.maximum``.
 
 Running the same simulator on a program compiled with ``sparse=False`` and a
 :func:`~repro.arch.config.dense_baseline_config` models the Eyeriss-like dense

@@ -111,12 +111,17 @@ class EnergyBreakdown:
         return value / total
 
     def add(self, other: "EnergyBreakdown") -> None:
-        """Accumulate another breakdown into this one (in place)."""
-        self.combinational_pj += other.combinational_pj
-        self.register_pj += other.register_pj
-        self.sram_pj += other.sram_pj
-        self.dram_pj += other.dram_pj
-        self.leakage_pj += other.leakage_pj
+        """Accumulate another breakdown into this one.
+
+        Each component is rebound to a new sum rather than updated with
+        ``+=``, so numpy columns of different shapes (the analytic tier's)
+        broadcast as they accumulate.
+        """
+        self.combinational_pj = self.combinational_pj + other.combinational_pj
+        self.register_pj = self.register_pj + other.register_pj
+        self.sram_pj = self.sram_pj + other.sram_pj
+        self.dram_pj = self.dram_pj + other.dram_pj
+        self.leakage_pj = self.leakage_pj + other.leakage_pj
 
     def scaled(self, factor: float) -> "EnergyBreakdown":
         """Return a copy with every component multiplied by ``factor``."""

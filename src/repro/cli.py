@@ -16,7 +16,7 @@ Subcommands
     :class:`~repro.api.ExperimentResult`.
 ``sweep``
     Run a design-space sweep (PE count x buffer size x pruning rate, times a
-    workload list) through the exploration engine: parallel evaluation,
+    workload list) through the exploration engine: column evaluation,
     persistent caching, optional CSV/JSON export.  ``--model vgg16`` /
     ``--model mobilenet`` sweep a single workload without spelling out
     ``--workloads``.
@@ -168,10 +168,10 @@ def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
         "--fidelity",
         choices=FIDELITY_CHOICES,
         default=DEFAULT_FIDELITY.value,
-        help="cost-model tier: analytic (the simulator's formulas on numpy "
-        "columns, microseconds/point), vectorized (the instruction-stream "
-        "simulator, default); scalar is accepted and runs the default engine "
-        "(use --serial for a serial run)",
+        help="cost-model tier; every tier evaluates the simulator's formulas "
+        "on numpy columns with the same results: vectorized (default) caches "
+        "records under content-hash keys, analytic skips the cache (million-"
+        "point grids), scalar runs the default engine",
     )
 
 
@@ -183,16 +183,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the persistent cache"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: one per CPU)",
-    )
-    parser.add_argument(
-        "--serial", action="store_true", help="evaluate in-process, no worker pool"
     )
 
 
@@ -225,10 +215,6 @@ def _sweep_request(args: argparse.Namespace, experiment: str) -> ExperimentReque
     }
     if experiment == "pareto":
         params["objectives"] = list(_parse_list(args.objectives, str))
-    if getattr(args, "resim_pareto", False):
-        if args.fidelity != "analytic":
-            raise SystemExit("--resim-pareto requires --fidelity analytic")
-        params["resim_pareto"] = True
     return ExperimentRequest(
         experiment=experiment,
         workloads=tuple(workloads),
@@ -238,12 +224,7 @@ def _sweep_request(args: argparse.Namespace, experiment: str) -> ExperimentReque
 
 
 def _engine_options(args: argparse.Namespace) -> RunOptions:
-    return RunOptions(
-        max_workers=args.jobs,
-        parallel=not args.serial,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
+    return RunOptions(use_cache=not args.no_cache, cache_dir=args.cache_dir)
 
 
 def _check_export_suffix(path: str | None) -> None:
@@ -263,18 +244,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(format_records_table(ranked, limit=args.top))
     elapsed = sum(result.stage_seconds.values())
     print(f"\n{result.native['stats']} in {elapsed:.2f}s")
-    resimulated = result.native.get("resimulated")
-    if resimulated is not None:
-        print(
-            f"\nre-simulated Pareto band: {len(resimulated)} point(s) "
-            f"({result.native.get('resim_stats', '')})"
-        )
-        print(
-            format_records_table(
-                sorted(resimulated, key=operator.attrgetter("latency_us")),
-                limit=args.top
-            )
-        )
     if args.out:
         export_records(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
@@ -659,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows of the latency-ranked table to print (default: %(default)s)",
     )
     sweep.add_argument("--out", default=None, help="export records to a .csv/.json file")
-    sweep.add_argument(
-        "--resim-pareto", action="store_true",
-        help="with --fidelity analytic: re-simulate the analytic Pareto band "
-        "at full fidelity (two-phase sweep)",
-    )
     sweep.set_defaults(func=cmd_sweep)
 
     pareto = sub.add_parser("pareto", help="extract per-workload Pareto frontiers")

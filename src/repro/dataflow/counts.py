@@ -13,13 +13,12 @@ figure, sweep and serve job is costed this way.
 
 These are the only count formulas in the repository.  Every one is plain
 arithmetic on the attributes it reads, so it evaluates element-wise on two
-kinds of input: one :class:`~repro.models.spec.ConvLayerSpec` with one
+kinds of densities for one :class:`~repro.models.spec.ConvLayerSpec`: one
 :class:`LayerDensities` (Python numbers — the simulator's instruction-stream
-walk), or a :class:`~repro.analytic.model.LayerGeometry` with a
-:class:`~repro.analytic.model.DensityGrid`, whose fields carry the same names
-as ``(layers,)`` and ``(points, layers)`` numpy columns (the analytic tier).
-Branches are taken only on the ``sparse`` flag, which both callers pass as a
-Python bool; per-layer choices are arithmetic selections.
+walk), or a :class:`~repro.analytic.model.DensityGrid`, whose fields carry the
+same names as ``(points, 1)`` numpy columns (the analytic tier).  Branches are
+taken only on the ``sparse`` flag, which both callers pass as a Python bool;
+per-layer choices are arithmetic selections.
 
 All formulas are per *sample*; batching is a pure multiplier handled by the
 caller.  The same formulas with all densities forced to 1.0 and compression
@@ -105,7 +104,7 @@ class StepCounts:
     ``processed_operands`` is the number of operand values a PE actually
     consumes (one per cycle in the PE model); ``weight_loads`` is the number
     of kernel-row words loaded into Reg-1.  Evaluated on numpy columns, every
-    count is a column broadcastable to ``(points, layers)``.
+    count is a column broadcastable to ``(points, 1)``.
     """
 
     step: StepKind
@@ -137,9 +136,17 @@ def compressed_words(values):
     return values * (1.0 + 1.0 / OFFSET_PACKING)
 
 
-def skip_factor(density, kernel):
-    """Probability that at least one of ``kernel`` aligned positions is live."""
-    return 1.0 - (1.0 - density) ** kernel
+def skip_factor(density, kernel: int):
+    """Probability that at least one of ``kernel`` aligned positions is live.
+
+    ``(1 - density) ** kernel`` is multiplied out left to right: numpy's
+    ``pow`` and libm's can differ in the last ulp, a product cannot, so a
+    Python float and a numpy column get bit-identical factors.
+    """
+    all_zero = 1.0
+    for _ in range(kernel):
+        all_zero = all_zero * (1.0 - density)
+    return 1.0 - all_zero
 
 
 def forward_counts(
@@ -206,9 +213,9 @@ def gta_counts(
     from only the ``out_channels / groups`` output channels of its group
     (``layer.group_out_channels``), mirroring the grouped Forward accounting.
 
-    Mask skipping only exists behind a ReLU: ``layer.has_relu_mask`` (a bool,
-    or a 0/1 column) selects the mask density or 1.0 by arithmetic, and
-    gates the mask read traffic the same way.
+    Mask skipping only exists behind a ReLU: ``layer.has_relu_mask`` selects
+    the mask density or 1.0 by arithmetic, and gates the mask read traffic
+    the same way.
     """
     kernel = layer.kernel
     row_ops = layer.in_channels * layer.in_height * layer.group_out_channels * kernel
@@ -327,7 +334,7 @@ STEP_COUNTS = {
 def layer_counts(
     layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
 ) -> dict[StepKind, StepCounts]:
-    """All three training steps of one layer (or of a column grid)."""
+    """All three training steps of one layer (Python numbers or columns)."""
     return {kind: counts(layer, densities, sparse) for kind, counts in STEP_COUNTS.items()}
 
 

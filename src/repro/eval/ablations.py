@@ -167,20 +167,13 @@ def _sweep_simulate_stage(ctx: PipelineContext) -> list[SweepPoint]:
     The ablation pipelines share the engine's evaluation path (analytic
     densities, matched-resource configs) with the survey-scale sweeps of
     ``python -m repro sweep``; they stay uncached so calling them is
-    side-effect free, and serial unless the run options ask for workers
-    (``--workers N`` routes here uniformly, like every other experiment).
-    The engine returns one record per *unique* point, so records are matched
-    back to the requested points by key — a repeated parameter value yields
-    a repeated (correctly labelled) sweep point.
+    side-effect free.  The engine returns one record per *unique* point, so
+    records are matched back to the requested points by key — a repeated
+    parameter value yields a repeated (correctly labelled) sweep point.
     """
     compiled = ctx["compile"]
     points, parameters = compiled["points"], compiled["parameters"]
-    options = ctx.options
-    engine = ExplorationEngine(
-        cache=None,
-        max_workers=options.max_workers,
-        parallel=options.parallel and (options.max_workers or 1) > 1,
-    )
+    engine = ExplorationEngine(cache=None)
     by_key = {record.key: record for record in engine.run(points)}
     return [
         SweepPoint(

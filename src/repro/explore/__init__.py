@@ -6,7 +6,7 @@ densities x ``EnergyModel`` -> latency/energy/area) into a survey-scale tool:
 * :mod:`repro.explore.space` — declarative parameter spaces (grids,
   log-ranges, seeded random samples) over architecture and pruning knobs;
 * :mod:`repro.explore.engine` — batched evaluation with deduplication,
-  process-pool parallelism and streaming;
+  caching and column evaluation of the misses;
 * :mod:`repro.explore.cache` — persistent JSON-lines result cache keyed by a
   stable content hash, so repeated sweeps cost file I/O only;
 * :mod:`repro.explore.pareto` — Pareto-frontier extraction and best-point

@@ -1,23 +1,22 @@
-"""Batched design-point evaluation: dedup, cache, process-pool fan-out.
+"""Batched design-point evaluation: dedup, cache, column evaluation.
 
 The engine turns ``(architecture overrides, pruning rate, workload)`` points
-into latency/energy/area records by running the layer-level simulator on both
-the SparseTrain and the dense-baseline configuration.  Around that single
-evaluation it layers the machinery a survey-scale sweep needs:
+into latency/energy/area records by costing both the SparseTrain and the
+dense-baseline configuration.  Around that evaluation it layers the
+machinery a survey-scale sweep needs:
 
 * **deduplication** — identical points (same content hash) are evaluated once
   per run no matter how often they appear in the input;
 * **persistent caching** — points found in a :class:`ResultCache` are never
-  re-simulated, so a repeated sweep costs only file I/O;
-* **parallel execution** — cache misses fan out over a
-  ``ProcessPoolExecutor``; a serial fallback keeps tests deterministic and
-  covers sandboxes where spawning processes is forbidden;
-* **streaming** — :meth:`ExplorationEngine.run_iter` yields records as they
-  complete so callers can report progress on long sweeps.
+  re-evaluated, so a repeated sweep costs only file I/O;
+* **column evaluation** — the cache misses are costed together by
+  :func:`repro.analytic.model.evaluate_points_analytic`, the cost model's
+  formulas on numpy columns, whose records equal :func:`evaluate_point`'s;
+* **streaming** — :meth:`ExplorationEngine.run_iter` yields cached records
+  before the misses are evaluated.
 
-``evaluate_point`` is a module-level function of one picklable argument — the
-unit of work shipped to worker processes, and the single seam tests
-monkeypatch to prove a cached pass performs zero simulator calls.
+:func:`evaluate_point` is the per-point reference: it compiles the point's
+program and walks it through ``AcceleratorSimulator.run_program``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-from repro.api.runner import Runner
 
 from repro.arch.area import estimate_area
 from repro.arch.config import ArchConfig, dense_baseline_config, sparsetrain_config
@@ -82,6 +79,12 @@ def _configs_for(
     overrides: tuple[tuple[str, Any], ...],
 ) -> tuple[ArchConfig, ArchConfig]:
     changes = dict(overrides)
+    unknown = set(changes) - ARCH_AXES
+    if unknown:
+        raise ValueError(
+            f"unknown architecture override(s) {sorted(unknown)}; "
+            f"valid: {sorted(ARCH_AXES)}"
+        )
     return (
         sparsetrain_config().evolve(**changes),
         dense_baseline_config().evolve(**changes),
@@ -242,7 +245,7 @@ class EvaluationRecord(NamedTuple):
 
 
 def evaluate_point(point: DesignPoint) -> EvaluationRecord:
-    """Simulate one design point (the process-pool work unit)."""
+    """Simulate one design point through the instruction-stream walk."""
     spec = get_model_spec(point.model, point.dataset)
     densities = analytic_densities(spec, point.pruning_rate)
     sparse_config = point.sparse_config()
@@ -329,39 +332,24 @@ class EngineStats:
 
 
 class ExplorationEngine:
-    """Evaluate batches of design points with dedup, caching and parallelism.
+    """Evaluate batches of design points with dedup and caching.
 
     Parameters
     ----------
     cache:
         Persistent result store; ``None`` disables caching (every unique
-        point is simulated every run).
-    max_workers:
-        Worker-process count for cache misses.  ``None`` lets
-        ``ProcessPoolExecutor`` pick; ``0``/``1`` (or ``parallel=False``)
-        selects the in-process serial path.
-    parallel:
-        Master switch for the process pool; the serial fallback is also used
-        automatically when a pool cannot be created (sandboxed interpreters).
+        point is evaluated every run).
     """
 
-    def __init__(
-        self,
-        cache: ResultCache | None = None,
-        max_workers: int | None = None,
-        parallel: bool = True,
-    ) -> None:
+    def __init__(self, cache: ResultCache | None = None) -> None:
         self.cache = cache
-        self.max_workers = max_workers
-        self.parallel = parallel and (max_workers is None or max_workers > 1)
         self.stats = EngineStats()
         self._last_order: list[str] = []
 
     def run(self, points: Iterable[DesignPoint]) -> list[EvaluationRecord]:
         """Evaluate ``points``, returning one record per unique point.
 
-        Records come back in first-seen input order regardless of the
-        completion order of the worker processes.
+        Records come back in first-seen input order.
         """
         records = {record.key: record for record in self.run_iter(points)}
         return [records[key] for key in self._last_order]
@@ -377,14 +365,14 @@ class ExplorationEngine:
         self._last_order = list(unique)
         self.stats = stats
 
-        misses: list[DesignPoint] = []
+        misses: dict[str, DesignPoint] = {}
         for key, point in unique.items():
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 stats.cache_hits += 1
                 yield EvaluationRecord.from_dict(cached)
             else:
-                misses.append(point)
+                misses[key] = point
 
         for record in self._execute(misses):
             stats.evaluated += 1
@@ -392,10 +380,14 @@ class ExplorationEngine:
                 self.cache.put(record.key, record.to_dict())
             yield record
 
-    def _execute(self, misses: list[DesignPoint]) -> Iterator[EvaluationRecord]:
-        # The shared Runner primitive owns the pool, chunk sizing and the
-        # serial fallback; ``evaluate_point`` is resolved through the module
-        # global so tests can monkeypatch it to prove a cached pass performs
-        # zero simulator calls.
-        runner = Runner(max_workers=self.max_workers, parallel=self.parallel)
-        yield from runner.imap(evaluate_point, misses)
+    def _execute(self, misses: dict[str, DesignPoint]) -> list[EvaluationRecord]:
+        if not misses:
+            return []
+        # Looked up on the module at call time: ``analytic.model`` imports
+        # this module, and callers may replace the function to observe (or,
+        # in tests, forbid) evaluation.
+        import repro.analytic.model as analytic_model
+
+        return analytic_model.evaluate_points_analytic(
+            list(misses.values()), keys=list(misses)
+        )

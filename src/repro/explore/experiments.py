@@ -6,9 +6,10 @@ These wrap the design-space subsystem in the :mod:`repro.api` pipeline shape
 * ``compile`` builds the concrete :class:`DesignPoint` grid from the
   request's workloads and the ``pes`` / ``buffers`` / ``pruning_rates``
   parameters (optionally a seeded random subsample);
-* ``simulate`` evaluates the points through :class:`ExplorationEngine` —
-  deduplication, the persistent sweep cache resolved from the run options,
-  and worker-pool fan-out through the shared Runner primitive;
+* ``simulate`` evaluates the points on the cost model's columns
+  (:mod:`repro.analytic.model`) — through :class:`ExplorationEngine`, with
+  deduplication and the persistent sweep cache resolved from the run
+  options, or, at analytic fidelity, directly;
 * ``report`` renders the latency-ranked table (``sweep``) or per-workload
   Pareto frontiers (``pareto``).
 
@@ -30,7 +31,7 @@ from repro.api import (
     fidelity_dispatch,
     register_experiment,
 )
-from repro.explore.engine import DesignPoint, ExplorationEngine, points_for
+from repro.explore.engine import ExplorationEngine, points_for
 from repro.explore.pareto import parse_objectives, pareto_by_workload
 from repro.explore.space import DesignSpace, grid_axis
 from repro.explore.report import format_frontier, format_records_table
@@ -94,37 +95,26 @@ def _compile_stage(ctx: PipelineContext):
     return points_for(space, workloads, sample=sample, seed=request.param("seed", 0))
 
 
-def _engine_for(ctx: PipelineContext) -> ExplorationEngine:
-    options = ctx.options
+def _simulate_vectorized(ctx: PipelineContext) -> dict[str, Any]:
+    """The default tier: the deduplicating, cached engine."""
     cache = ctx.extras.get("sweep_cache")
     if cache is None and "sweep_cache" not in ctx.extras:
-        cache = options.sweep_cache()
-    return ExplorationEngine(
-        cache=cache, max_workers=options.max_workers, parallel=options.parallel
-    )
-
-
-def _simulate_vectorized(ctx: PipelineContext) -> dict[str, Any]:
-    """The default tier: the cached, parallel instruction-stream engine."""
-    engine = _engine_for(ctx)
+        cache = ctx.options.sweep_cache()
+    engine = ExplorationEngine(cache=cache)
     records = engine.run(ctx["compile"])
     return {"records": records, "stats": engine.stats.describe()}
 
 
 def _simulate_analytic(ctx: PipelineContext) -> dict[str, Any]:
-    """The column evaluator, optionally followed by a Pareto re-simulation.
+    """The column evaluator without the engine's keys and cache.
 
-    Analytic records carry fidelity-salted keys
+    Analytic records carry ``analytic:`` keys
     (:func:`repro.analytic.model.analytic_point_key`) and are *not* written
-    to the sweep cache: a point costs microseconds, so caching would only
-    bloat the JSONL store without saving time.  With ``resim_pareto`` the
-    per-workload Pareto band of the analytic sweep is re-evaluated through
-    the regular engine — legacy keys, cache and all — so the band records
-    are bit-identical to simulating those points directly.
+    to the sweep cache: a point costs microseconds, less than hashing its
+    cache key, so caching would only bloat the JSONL store.
     """
     from repro.analytic.model import (
         AnalyticGridPlan,
-        analytic_point_key,
         evaluate_grid_analytic,
         evaluate_points_analytic,
     )
@@ -140,41 +130,13 @@ def _simulate_analytic(ctx: PipelineContext) -> dict[str, Any]:
         f"{len(compiled)} points ({duplicates} duplicate), "
         f"{len(records)} analytic (closed-form)"
     )
-    result: dict[str, Any] = {"records": records, "stats": stats}
-    if not ctx.request.param("resim_pareto", False):
-        return result
-
-    # Phase two: re-simulate only the analytic Pareto band.
-    objectives = parse_objectives(
-        tuple(ctx.request.param("objectives", list(DEFAULT_OBJECTIVE_NAMES)))
-    )
-    frontiers = pareto_by_workload(records, objectives)
-    band_records = [
-        record
-        for workload in sorted(frontiers)
-        for record in frontiers[workload]
-    ]
-    if isinstance(compiled, AnalyticGridPlan):
-        # Grid points carry no energy overrides, so the band points can be
-        # reconstructed from their records directly.
-        band_points = [
-            DesignPoint(r.model, r.dataset, r.pruning_rate, r.overrides)
-            for r in band_records
-        ]
-    else:
-        point_by_key = {analytic_point_key(point): point for point in compiled}
-        band_points = [point_by_key[record.key] for record in band_records]
-    engine = _engine_for(ctx)
-    result["resimulated"] = engine.run(band_points)
-    result["resim_stats"] = engine.stats.describe()
-    return result
+    return {"records": records, "stats": stats}
 
 
 def _simulate_stage(ctx: PipelineContext) -> dict[str, Any]:
     """``simulate`` — evaluate at the tier the request's fidelity asks for.
 
-    ``scalar`` runs the default engine (``fidelity_dispatch``'s fallback);
-    serial evaluation is a run option (``--serial``), not a tier.
+    ``scalar`` runs the default engine (``fidelity_dispatch``'s fallback).
     """
     return fidelity_dispatch(
         ctx, vectorized=_simulate_vectorized, analytic=_simulate_analytic
@@ -197,19 +159,6 @@ def _sweep_report_stage(ctx: PipelineContext) -> ExperimentReport:
         payload["records_truncated"] = True
         payload["records_total"] = len(records)
     native: dict[str, Any] = {"records": records, "stats": stats}
-    if "resimulated" in simulated:
-        resimulated = simulated["resimulated"]
-        resim_stats = simulated.get("resim_stats", "")
-        payload["resimulated"] = [record.to_dict() for record in resimulated]
-        payload["resim_stats"] = resim_stats
-        native["resimulated"] = resimulated
-        native["resim_stats"] = resim_stats
-        summary += (
-            f"\n\nre-simulated Pareto band ({len(resimulated)} points; {resim_stats}):\n"
-            + format_records_table(
-                sorted(resimulated, key=operator.attrgetter("latency_us")), limit=top
-            )
-        )
     return ExperimentReport(payload=payload, summary=summary, native=native)
 
 
@@ -250,7 +199,7 @@ def build_sweep_pipeline(request: ExperimentRequest) -> Pipeline:
         "sweep",
         [
             Stage("compile", _compile_stage, "build the design-point grid"),
-            Stage("simulate", _simulate_stage, "cached, parallel engine evaluation"),
+            Stage("simulate", _simulate_stage, "cached column evaluation"),
             Stage("report", _sweep_report_stage, "latency-ranked records table"),
         ],
     )
@@ -269,7 +218,7 @@ def build_pareto_pipeline(request: ExperimentRequest) -> Pipeline:
         "pareto",
         [
             Stage("compile", _compile_stage, "build the design-point grid"),
-            Stage("simulate", _simulate_stage, "cached, parallel engine evaluation"),
+            Stage("simulate", _simulate_stage, "cached column evaluation"),
             Stage("report", _pareto_report_stage, "Pareto frontier extraction"),
         ],
     )

@@ -19,8 +19,11 @@ from typing import Any, Iterator, Sequence
 from repro.arch.config import ArchConfig
 from repro.utils.rng import new_rng
 
-# ArchConfig fields an axis may sweep (everything except the display name).
-ARCH_AXES = frozenset(f.name for f in fields(ArchConfig)) - {"name"}
+# ArchConfig fields an axis may sweep.  Overrides apply to the SparseTrain
+# and the dense-baseline config alike (matched resources), so the fields that
+# say which machine a config is — its name and ``sparse_dataflow`` — are not
+# axes.
+ARCH_AXES = frozenset(f.name for f in fields(ArchConfig)) - {"name", "sparse_dataflow"}
 
 # Sweep-level knobs handled by the engine rather than the config.
 SPECIAL_AXES = frozenset({"pruning_rate"})

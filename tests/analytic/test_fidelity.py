@@ -136,14 +136,13 @@ class TestTierEquivalence:
         assert [r.to_dict() for r in vec] == [r.to_dict() for r in sca]
 
     def test_analytic_matches_to_float_noise(self, sweep_results):
+        # One evaluator at every tier: the records differ only in their keys.
         vec = sweep_results["vectorized"].native["records"]
         ana = sweep_results["analytic"].native["records"]
         assert len(vec) == len(ana)
         for v, a in zip(vec, ana):
             assert a.key != v.key  # fidelity-salted
-            assert a.latency_us == pytest.approx(v.latency_us, rel=1e-9)
-            assert a.energy_uj == pytest.approx(v.energy_uj, rel=1e-9)
-            assert a.speedup == pytest.approx(v.speedup, rel=1e-9)
+            assert a._replace(key=v.key) == v
 
     def test_fig8_analytic_tier(self):
         # fig8/fig9 run one simulate path at every fidelity, so every tier

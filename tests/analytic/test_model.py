@@ -1,7 +1,8 @@
-"""The analytic tier must agree with the simulator to float-noise level.
+"""The column evaluator's records must equal the simulator walk's.
 
-Both evaluators run the same formulas; any disagreement beyond
-summation-order noise (~1e-12 relative) is a evaluator bug.
+Both evaluators run the same formulas on the same layers and add the
+per-step terms up in the same program order, so every field is compared
+with ``==``; any difference is an evaluator bug.
 """
 
 from __future__ import annotations
@@ -9,9 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analytic.model import analytic_point_key, evaluate_points_analytic
+from repro.analytic.validate import sample_validation_points
 from repro.explore.engine import DesignPoint, evaluate_point
-
-RTOL = 1e-9
 
 RECORD_METRICS = (
     "latency_us",
@@ -47,19 +47,41 @@ POINTS = [
     DesignPoint(model="VGG-16", dataset="ImageNet", pruning_rate=0.9),
 ]
 
+#: Both paper families, grouped convolutions, and deep ImageNet networks.
+EXACTNESS_WORKLOADS = (
+    ("AlexNet", "CIFAR-10"),
+    ("ResNet-18", "CIFAR-10"),
+    ("MobileNetV1", "CIFAR-10"),
+    ("VGG-16", "CIFAR-10"),
+    ("ResNet-34", "CIFAR-10"),
+    ("AlexNet", "ImageNet"),
+    ("ResNet-152", "ImageNet"),
+)
+
+#: Seeded random points that move every architecture knob at once.
+SAMPLED_POINTS = [
+    point
+    for seed in (1, 7)
+    for point in sample_validation_points(EXACTNESS_WORKLOADS, 28, seed)
+]
+
 
 class TestBatchedRecordsMatchSimulator:
     @pytest.fixture(scope="class")
     def pairs(self):
-        analytic = evaluate_points_analytic(POINTS)
-        simulated = [evaluate_point(point) for point in POINTS]
+        points = POINTS + SAMPLED_POINTS
+        analytic = evaluate_points_analytic(points)
+        simulated = [evaluate_point(point) for point in points]
+        assert len(analytic) == len(simulated) == len(points)
         return list(zip(analytic, simulated))
 
     @pytest.mark.parametrize("metric", RECORD_METRICS)
     def test_metric_within_float_noise(self, pairs, metric):
+        # Exact: no float noise is left between the two evaluators.
         for analytic, simulated in pairs:
-            assert getattr(analytic, metric) == pytest.approx(
-                getattr(simulated, metric), rel=RTOL
+            assert getattr(analytic, metric) == getattr(simulated, metric), (
+                analytic.workload,
+                analytic.overrides,
             )
 
     def test_non_metric_fields_carried_over(self, pairs):

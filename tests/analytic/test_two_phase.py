@@ -1,11 +1,10 @@
-"""Two-phase sweeps: analytic full grid, Pareto band re-simulated exactly."""
+"""Analytic-fidelity sweeps: the grid fast path, the payload cap, no cache."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import ExperimentRequest, RunOptions, run_experiment
-from repro.explore.engine import DesignPoint, ExplorationEngine
 
 
 def _sweep_request(**extra_params) -> ExperimentRequest:
@@ -21,57 +20,6 @@ def _sweep_request(**extra_params) -> ExperimentRequest:
         params=params,
         fidelity="analytic",
     )
-
-
-class TestTwoPhaseSweep:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment(
-            _sweep_request(resim_pareto=True),
-            options=RunOptions(use_cache=False, parallel=False),
-        )
-
-    def test_band_is_bit_identical_to_direct_simulation(self, result):
-        resimulated = result.native["resimulated"]
-        assert resimulated
-        # Re-simulate the same points directly through a fresh engine: the
-        # band records must match bit for bit (same keys, same floats).
-        points = [
-            DesignPoint(
-                model=record.model,
-                dataset=record.dataset,
-                pruning_rate=record.pruning_rate,
-                overrides=record.overrides,
-            )
-            for record in resimulated
-        ]
-        direct = ExplorationEngine(cache=None, parallel=False).run(points)
-        assert [r.to_dict() for r in direct] == [r.to_dict() for r in resimulated]
-
-    def test_band_uses_legacy_simulator_keys(self, result):
-        analytic_keys = {record.key for record in result.native["records"]}
-        for record in result.native["resimulated"]:
-            assert record.key not in analytic_keys
-
-    def test_band_is_a_subset_of_the_grid(self, result):
-        grid = {
-            (r.model, r.dataset, r.pruning_rate, r.num_pes, r.buffer_kib)
-            for r in result.native["records"]
-        }
-        band = {
-            (r.model, r.dataset, r.pruning_rate, r.num_pes, r.buffer_kib)
-            for r in result.native["resimulated"]
-        }
-        assert band <= grid
-        assert len(band) < len(grid)
-
-    def test_payload_carries_both_phases(self, result):
-        assert len(result.payload["records"]) == len(result.native["records"])
-        assert len(result.payload["resimulated"]) == len(
-            result.native["resimulated"]
-        )
-        assert "analytic" in result.payload["stats"]
-        assert "simulated" in result.payload["resim_stats"]
 
 
 class TestGridFastPath:
@@ -130,6 +78,16 @@ class TestAnalyticSweepWithoutResim:
             options=RunOptions(use_cache=False, parallel=False),
         )
         assert "resimulated" not in result.native
+        assert "resimulated" not in result.payload
+
+    def test_stored_resim_pareto_param_still_runs(self):
+        # Params are free-form: a stored request from before the two-phase
+        # mode was removed loads and runs, and simply gets no band.
+        result = run_experiment(
+            _sweep_request(resim_pareto=True),
+            options=RunOptions(use_cache=False, parallel=False),
+        )
+        assert len(result.native["records"]) == 24
         assert "resimulated" not in result.payload
 
     def test_payload_record_cap(self):

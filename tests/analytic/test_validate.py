@@ -66,8 +66,10 @@ class TestValidateExperiment:
         assert result.payload["bounds"] == DEFAULT_ERROR_BOUNDS
 
     def test_errors_are_float_noise_not_model_error(self, result):
-        # The two paths share their formulas; only summation order differs.
-        assert result.payload["max_rel_error"] < 1e-12
+        # The two paths share their formulas and their summation order.
+        assert result.payload["max_rel_error"] == 0.0
+        for entry in result.payload["metrics"]:
+            assert entry["max_rel_error"] == 0.0, entry["metric"]
 
     def test_summary_reports_pass(self, result):
         assert "PASS" in result.summary

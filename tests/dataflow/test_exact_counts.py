@@ -5,8 +5,8 @@ count by hand and assert its exact operand, MAC and word counts.  One formula
 set serves the instruction-stream walk and the analytic tier's numpy columns,
 so hand-derived literals, not a second implementation, pin the counts.  Each
 case runs on one ``ConvLayerSpec`` with one ``LayerDensities`` (Python
-numbers) and as one column of a 2-point ``LayerGeometry``/``DensityGrid``;
-both must equal the literals with ``==``.  Densities 1.0 and 0.5 are exact in
+numbers) and with one column of a 2-point ``DensityGrid``; both must equal
+the literals with ``==``.  Densities 1.0 and 0.5 are exact in
 binary, and so is every count below.
 
 Notation: d is the density of every operand, cw(v) = 1.5 v compressed words
@@ -54,9 +54,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analytic.model import DensityGrid, LayerGeometry
+from repro.analytic.model import DensityGrid
 from repro.dataflow.counts import LayerDensities, StepKind, layer_counts
-from repro.models.spec import ConvLayerSpec, ConvStructure, ModelSpec
+from repro.models.spec import ConvLayerSpec, ConvStructure
 
 FW, GTA, GTW = StepKind.FORWARD, StepKind.GTA, StepKind.GTW
 
@@ -128,7 +128,7 @@ def _uniform(density: float) -> LayerDensities:
 
 
 def _two_point_grid() -> DensityGrid:
-    column = np.asarray(DENSITIES)[:, None]  # (points, layers) = (2, 1)
+    column = np.asarray(DENSITIES)[:, None]  # (points, 1)
     return DensityGrid(column, column, column, column, column)
 
 
@@ -142,9 +142,7 @@ class TestExactCounts:
 
     def test_one_column_of_a_grid(self, case):
         name, sparse, density = case
-        layer = LAYERS[name]
-        spec = ModelSpec("one-layer", "CIFAR-10", (layer.in_channels, 4, 4), (layer,))
-        counts = layer_counts(LayerGeometry.from_spec(spec), _two_point_grid(), sparse)
+        counts = layer_counts(LAYERS[name], _two_point_grid(), sparse)
         point = DENSITIES.index(density)
         for step, expected in EXPECTED[case].items():
             column = tuple(

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.analytic.model as analytic_model
 from repro.eval.ablations import (
     SweepPoint,
     run_energy_sensitivity,
     run_pe_sweep,
     run_pruning_rate_sweep,
 )
-from repro.explore import engine as engine_module
 
 
 class TestPruningRateSweep:
@@ -94,13 +94,13 @@ class TestEngineRouting:
     def test_sweeps_run_through_the_exploration_engine(self, monkeypatch):
         """The ablation harnesses share the engine's evaluation path."""
         calls = []
-        real = engine_module.evaluate_point
+        real = analytic_model.evaluate_points_analytic
 
-        def counting(point):
-            calls.append(point)
-            return real(point)
+        def counting(points, *args, **kwargs):
+            calls.extend(points)
+            return real(points, *args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "evaluate_point", counting)
+        monkeypatch.setattr(analytic_model, "evaluate_points_analytic", counting)
         run_pe_sweep(pe_counts=(84, 168))
         assert len(calls) == 2
         assert {p.sparse_config().num_pes for p in calls} == {84, 168}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.explore import engine as engine_module
+import repro.analytic.model as analytic_model
 from repro.explore.report import load_records
 
 
@@ -18,7 +18,7 @@ def run_cli(args, capsys):
 class TestSweepCommand:
     def test_smoke_sweep_serial(self, tmp_path, capsys):
         code, out = run_cli(
-            ["sweep", "--smoke", "--serial", "--cache-dir", str(tmp_path)], capsys
+            ["sweep", "--smoke", "--cache-dir", str(tmp_path)], capsys
         )
         assert code == 0
         assert "AlexNet/CIFAR-10" in out
@@ -27,14 +27,14 @@ class TestSweepCommand:
 
     def test_second_invocation_is_fully_cached(self, tmp_path, capsys, monkeypatch):
         """Acceptance: the repeated CLI sweep performs zero simulator calls."""
-        run_cli(["sweep", "--smoke", "--serial", "--cache-dir", str(tmp_path)], capsys)
+        run_cli(["sweep", "--smoke", "--cache-dir", str(tmp_path)], capsys)
 
-        def boom(point):
-            raise AssertionError("simulator called on the cached pass")
+        def boom(*args, **kwargs):
+            raise AssertionError("cost model evaluated on the cached pass")
 
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
+        monkeypatch.setattr(analytic_model, "evaluate_points_analytic", boom)
         code, out = run_cli(
-            ["sweep", "--smoke", "--serial", "--cache-dir", str(tmp_path)], capsys
+            ["sweep", "--smoke", "--cache-dir", str(tmp_path)], capsys
         )
         assert code == 0
         assert "4 cached, 0 simulated" in out
@@ -43,7 +43,6 @@ class TestSweepCommand:
         code, out = run_cli(
             [
                 "sweep",
-                "--serial",
                 "--cache-dir",
                 str(tmp_path),
                 "--pruning-rates",
@@ -61,7 +60,7 @@ class TestSweepCommand:
         code, out = run_cli(
             [
                 "sweep", "--model", "mobilenet", "--dataset", "cifar10",
-                "--smoke", "--serial", "--cache-dir", str(tmp_path),
+                "--smoke", "--cache-dir", str(tmp_path),
             ],
             capsys,
         )
@@ -71,7 +70,7 @@ class TestSweepCommand:
         code, out = run_cli(
             [
                 "sweep", "--model", "vgg16",
-                "--smoke", "--serial", "--cache-dir", str(tmp_path),
+                "--smoke", "--cache-dir", str(tmp_path),
             ],
             capsys,
         )
@@ -82,7 +81,7 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="--dataset requires --model"):
             main(
                 [
-                    "sweep", "--dataset", "imagenet", "--smoke", "--serial",
+                    "sweep", "--dataset", "imagenet", "--smoke",
                     "--cache-dir", str(tmp_path),
                 ]
             )
@@ -91,7 +90,7 @@ class TestSweepCommand:
         out_file = tmp_path / "sweep.json"
         code, out = run_cli(
             [
-                "sweep", "--smoke", "--serial", "--no-cache", "--out", str(out_file),
+                "sweep", "--smoke", "--no-cache", "--out", str(out_file),
             ],
             capsys,
         )
@@ -100,7 +99,7 @@ class TestSweepCommand:
 
     def test_rejects_malformed_workload(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            main(["sweep", "--serial", "--no-cache", "--workloads", "AlexNet"])
+            main(["sweep", "--no-cache", "--workloads", "AlexNet"])
 
 
 class TestParetoCommand:
@@ -109,7 +108,6 @@ class TestParetoCommand:
         code, out = run_cli(
             [
                 "pareto",
-                "--serial",
                 "--cache-dir", str(tmp_path),
                 "--pes", "84,168,336",
                 "--buffers", "386",
@@ -130,14 +128,14 @@ class TestParetoCommand:
     def test_from_file_skips_sweeping(self, tmp_path, capsys, monkeypatch):
         export = tmp_path / "sweep.json"
         run_cli(
-            ["sweep", "--smoke", "--serial", "--no-cache", "--out", str(export)],
+            ["sweep", "--smoke", "--no-cache", "--out", str(export)],
             capsys,
         )
 
-        def boom(point):
-            raise AssertionError("simulator called when loading from file")
+        def boom(*args, **kwargs):
+            raise AssertionError("cost model evaluated when loading from file")
 
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
+        monkeypatch.setattr(analytic_model, "evaluate_points_analytic", boom)
         code, out = run_cli(
             ["pareto", "--from", str(export), "--objectives", "latency_us,energy_uj"],
             capsys,
@@ -147,18 +145,18 @@ class TestParetoCommand:
 
     def test_rejects_unknown_objective(self, tmp_path, capsys):
         code = main(
-            ["pareto", "--smoke", "--serial", "--no-cache", "--objectives", "latency"]
+            ["pareto", "--smoke", "--no-cache", "--objectives", "latency"]
         )
         assert code == 2
         assert "unknown objective" in capsys.readouterr().err
 
     def test_rejects_bad_export_suffix_before_sweeping(self, capsys, monkeypatch):
-        def boom(point):
-            raise AssertionError("simulated before the export path was validated")
+        def boom(*args, **kwargs):
+            raise AssertionError("evaluated before the export path was validated")
 
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
+        monkeypatch.setattr(analytic_model, "evaluate_points_analytic", boom)
         code = main(
-            ["sweep", "--smoke", "--serial", "--no-cache", "--out", "x.parquet"]
+            ["sweep", "--smoke", "--no-cache", "--out", "x.parquet"]
         )
         assert code == 2
         assert "unsupported export suffix" in capsys.readouterr().err
@@ -191,6 +189,14 @@ class TestParserWiring:
         # Default: caching on, serial simulation.
         namespace = parser.parse_args(["fig8"])
         assert namespace.workers is None and namespace.no_cache is False
+
+    @pytest.mark.parametrize("flag", ["--serial", "--jobs=2", "--resim-pareto"])
+    def test_sweep_flags_of_the_removed_pool_are_gone(self, flag, capsys):
+        # Sweeps evaluate on numpy columns in process: nothing to size.
+        for command in ("sweep", "pareto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--smoke", flag])
+        capsys.readouterr()
 
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,11 @@
-"""Tests for the design-point evaluation engine (dedup, cache, parallel)."""
+"""Tests for the design-point evaluation engine (dedup, cache, columns)."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.analytic.model as analytic_model
 from repro.arch.area import estimate_area
-from repro.explore import engine as engine_module
 from repro.explore.cache import ResultCache
 from repro.explore.engine import (
     DesignPoint,
@@ -62,6 +62,40 @@ class TestDesignPoint:
         assert a.key != d.key
 
 
+    def test_existing_keys_are_unchanged(self):
+        # Persisted sweep caches are keyed by these hashes.
+        assert DesignPoint("AlexNet", "CIFAR-10", 0.9).key == (
+            "e77296f99ce5fef13389eec17c93b8f5472a4f3a4f0d63545f91c10271fc85d2"
+        )
+        assert DesignPoint(
+            "ResNet-18", "CIFAR-10", 0.7, (("buffer_kib", 192), ("num_pes", 84))
+        ).key == "edc4c25af1831205b5ea78fa1cceb9adeacfec919febdb02c98719ca47cd1145"
+
+
+class TestSparseDataflowIsNotAnAxis:
+    """Overrides apply to both configs; ``sparse_dataflow`` names which one is which."""
+
+    def test_grid_axis_rejects_it(self):
+        with pytest.raises(ValueError, match="unknown axis"):
+            grid_axis("sparse_dataflow", [True, False])
+
+    def test_from_assignment_rejects_it(self):
+        with pytest.raises(ValueError, match="unknown assignment"):
+            DesignPoint.from_assignment(
+                "AlexNet", "CIFAR-10", {"sparse_dataflow": False}
+            )
+
+    def test_hand_built_point_cannot_carry_it(self):
+        point = DesignPoint(
+            "VGG-16", "ImageNet", 0.9, (("buffer_kib", 64), ("sparse_dataflow", False))
+        )
+        for use in (point.sparse_config, point.baseline_config, lambda: point.key):
+            with pytest.raises(ValueError, match="unknown architecture override"):
+                use()
+        with pytest.raises(ValueError, match="unknown architecture override"):
+            ExplorationEngine().run([point])
+
+
 class TestEvaluatePoint:
     def test_record_matches_direct_simulation(self):
         point = DesignPoint.from_assignment(
@@ -104,7 +138,7 @@ class TestPointsFor:
 class TestExplorationEngine:
     def test_serial_run_returns_input_order(self):
         points = points_for(SMALL_SPACE, WORKLOADS)
-        engine = ExplorationEngine(parallel=False)
+        engine = ExplorationEngine()
         records = engine.run(points)
         assert [r.key for r in records] == [p.key for p in points]
         assert engine.stats.requested == len(points)
@@ -113,29 +147,22 @@ class TestExplorationEngine:
 
     def test_deduplicates_identical_points(self):
         point = DesignPoint.from_assignment("AlexNet", "CIFAR-10", {"num_pes": 84})
-        engine = ExplorationEngine(parallel=False)
+        engine = ExplorationEngine()
         records = engine.run([point, point, point])
         assert len(records) == 1
         assert engine.stats.requested == 3
         assert engine.stats.deduplicated == 2
         assert engine.stats.evaluated == 1
 
-    def test_parallel_matches_serial(self):
-        points = points_for(SMALL_SPACE, WORKLOADS)
-        serial = ExplorationEngine(parallel=False).run(points)
-        parallel = ExplorationEngine(parallel=True, max_workers=2).run(points)
-        assert serial == parallel
-
     def test_cache_populated_and_reused(self, tmp_path):
         points = points_for(SMALL_SPACE, WORKLOADS[:1])
         cache = ResultCache(tmp_path / "cache.jsonl")
-        first = ExplorationEngine(cache=cache, parallel=False)
+        first = ExplorationEngine(cache=cache)
         records = first.run(points)
         assert first.stats.evaluated == len(points)
         assert len(cache) == len(points)
 
-        second = ExplorationEngine(cache=ResultCache(tmp_path / "cache.jsonl"),
-                                   parallel=False)
+        second = ExplorationEngine(cache=ResultCache(tmp_path / "cache.jsonl"))
         assert second.run(points) == records
         assert second.stats.cache_hits == len(points)
         assert second.stats.evaluated == 0
@@ -144,14 +171,14 @@ class TestExplorationEngine:
         """Acceptance: a warm cache short-circuits the simulator entirely."""
         points = points_for(SMALL_SPACE, WORKLOADS)
         cache_path = tmp_path / "cache.jsonl"
-        warm = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
+        warm = ExplorationEngine(cache=ResultCache(cache_path))
         expected = warm.run(points)
 
-        def boom(point):
-            raise AssertionError(f"simulator called for {point.workload}")
+        def boom(points, *args, **kwargs):
+            raise AssertionError(f"cost model evaluated for {len(points)} point(s)")
 
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
-        cold = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
+        monkeypatch.setattr(analytic_model, "evaluate_points_analytic", boom)
+        cold = ExplorationEngine(cache=ResultCache(cache_path))
         assert cold.run(points) == expected
         assert cold.stats.evaluated == 0
         assert cold.stats.cache_hits == len(points)
@@ -159,17 +186,21 @@ class TestExplorationEngine:
     def test_partial_cache_only_simulates_misses(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         first_half = points_for(SMALL_SPACE, WORKLOADS[:1])
-        ExplorationEngine(cache=ResultCache(cache_path), parallel=False).run(first_half)
+        ExplorationEngine(cache=ResultCache(cache_path)).run(first_half)
 
         everything = points_for(SMALL_SPACE, WORKLOADS)
-        engine = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
+        engine = ExplorationEngine(cache=ResultCache(cache_path))
         records = engine.run(everything)
         assert len(records) == len(everything)
         assert engine.stats.cache_hits == len(first_half)
         assert engine.stats.evaluated == len(everything) - len(first_half)
 
+    def test_records_equal_the_walk(self):
+        points = points_for(SMALL_SPACE, WORKLOADS)
+        assert ExplorationEngine().run(points) == [evaluate_point(p) for p in points]
+
     def test_run_iter_streams_all_records(self):
         points = points_for(SMALL_SPACE, WORKLOADS[:1])
-        engine = ExplorationEngine(parallel=False)
+        engine = ExplorationEngine()
         streamed = list(engine.run_iter(points))
         assert {r.key for r in streamed} == {p.key for p in points}

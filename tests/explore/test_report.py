@@ -29,7 +29,7 @@ def records():
         )
     )
     points = points_for(space, [("AlexNet", "CIFAR-10")])
-    return ExplorationEngine(parallel=False).run(points)
+    return ExplorationEngine().run(points)
 
 
 class TestJsonRoundTrip:

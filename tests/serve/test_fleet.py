@@ -25,13 +25,21 @@ from repro.serve.worker import Worker
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-# A claim/execute/complete loop that exits once the queue stays empty.
+# A claim/execute/complete loop that exits once the queue stays empty.  The
+# processes start claiming together: otherwise the first one to finish
+# importing can drain the whole queue before the others start.
 _HAMMER_SCRIPT = """
 import sys, time
+from pathlib import Path
 from repro.api.request import ExperimentResult
 from repro.serve.store import JobStore
 
-db, worker_id = sys.argv[1], sys.argv[2]
+db, worker_id, workers = sys.argv[1], sys.argv[2], int(sys.argv[3])
+ready = Path(db).parent / "ready"
+ready.mkdir(exist_ok=True)
+(ready / worker_id).touch()
+while len(list(ready.iterdir())) < workers:
+    time.sleep(0.005)
 with JobStore(db) as store:
     idle = 0
     while idle < 10:
@@ -94,7 +102,7 @@ class TestCrossProcessClaims:
 
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", _HAMMER_SCRIPT, str(db), f"hammer:{n}"],
+                [sys.executable, "-c", _HAMMER_SCRIPT, str(db), f"hammer:{n}", "3"],
                 env=_python_env(),
             )
             for n in range(3)
