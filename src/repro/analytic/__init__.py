@@ -4,10 +4,10 @@ Three pieces:
 
 * :mod:`repro.analytic.fidelity` — the :class:`Fidelity` enum and helpers;
   imported eagerly because the request layer depends on it at module load.
-* :mod:`repro.analytic.model` — the column evaluator: evaluates the
-  simulator's own formulas on numpy columns over batched design-point grids,
-  in the instruction-stream walk's order, so its records equal the walk's.
-  Every sweep evaluates here.
+* :mod:`repro.analytic.model` — the column evaluator: runs the simulator's
+  own step loop over the compiler's instruction stream on numpy columns for
+  batched design-point grids, so its records equal the walk's.  Every sweep
+  evaluates here.
 * :mod:`repro.analytic.validate` — the ``analytic-validate`` experiment,
   which checks the column evaluator against the instruction-stream walk.
 

@@ -1,9 +1,9 @@
 """The fidelity knob: which cost-model tier evaluates a request.
 
 Every experiment that owns a ``simulate`` stage accepts one of three tiers.
-There is one cost model and one evaluation order.  Sweeps evaluate it on
-numpy columns (:mod:`repro.analytic.model`) and fig8/fig9 through the
-instruction-stream walk (``AcceleratorSimulator.run_program``) at every
+There is one cost model and one step loop.  Sweeps run it on numpy columns
+(:mod:`repro.analytic.model`) and fig8/fig9 on one point's floats (the
+instruction-stream walk, ``AcceleratorSimulator.run_program``) at every
 tier; the two give equal numbers, which the ``analytic-validate`` experiment
 checks.  The tiers choose what a sweep does around the evaluation:
 

@@ -4,26 +4,28 @@ The simulator's formulas — the step counts of :mod:`repro.dataflow.counts`,
 the machine model of :mod:`repro.arch.accelerator`, the weight tiling of
 :mod:`repro.arch.buffer`, :func:`~repro.arch.energy.energy_from_events` and
 :func:`~repro.arch.area.estimate_area` — are plain arithmetic on the
-attributes they read.  This module holds none of its own.  It evaluates
-those formulas on ``(points, 1)`` numpy columns instead of one point's Python
-numbers, so a whole design grid — millions of (workload, architecture,
-density) points — costs one pass over the network's layers instead of one
-instruction-stream walk per point.  What is here is batching:
+attributes they read, and the simulator's step loop
+(``AcceleratorSimulator.run_instructions``) runs on whatever numbers it is
+given.  This module holds no formula and no loop of its own.  It hands the
+compiler's instruction stream and the simulator ``(points, 1)`` numpy
+columns instead of one point's Python numbers, so a whole design grid —
+millions of (workload, architecture, density) points — costs one pass over
+the stream instead of one instruction-stream walk per point.  What is here
+is batching:
 
 * columnar grids whose attribute names match what the formulas read:
   :class:`DensityGrid` (``LayerDensities``'s, one grid per layer),
   :class:`ArchGrid` (``ArchConfig``'s) and :class:`EnergyGrid`
   (``EnergyModel``'s);
-* the column evaluator :func:`estimate_batch`, which does what
-  ``AcceleratorSimulator.run_program`` does for one point — weight loads
-  before the FORWARD and GTA steps, per-step ``max(compute, dram)`` and
-  energy, totals folded in program order;
+* :func:`estimate_batch`, which streams ``training_instructions`` through
+  the simulator's step loop on those columns and adds each step up as it is
+  produced;
 * chunking and :class:`~repro.explore.engine.EvaluationRecord` building for
   design-point lists and full grids.
 
-Both evaluators run the same formulas on the same layers in the same order,
-so their records are equal, not merely close; ``repro.analytic.validate``
-checks that against the walk.  Every sweep evaluates here, at every fidelity.
+The walk and the columns run the same loop over the same stream, so their
+records are equal, not merely close; ``repro.analytic.validate`` checks
+that.  Every sweep evaluates here, at every fidelity.
 
 Keys: :func:`evaluate_points_analytic` and :func:`evaluate_grid_analytic`
 name their records by :func:`analytic_point_key` (``analytic:``-prefixed, a
@@ -39,29 +41,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.accelerator import (
-    compute_cycles,
-    dram_cycles,
-    dram_words,
-    store_dram_words,
-    weight_dram_words,
-)
+from repro.arch.accelerator import AcceleratorSimulator
 from repro.arch.area import estimate_area
-from repro.arch.buffer import weight_tiling_factor
 from repro.arch.config import (
     BYTES_PER_WORD,
     ArchConfig,
     dense_baseline_config,
     sparsetrain_config,
 )
-from repro.arch.energy import (
-    EnergyBreakdown,
-    EnergyModel,
-    EventCounts,
-    default_energy_model,
-    energy_from_events,
-)
-from repro.dataflow.counts import STEP_COUNTS, StepCounts, StepKind
+from repro.arch.energy import EnergyBreakdown, EnergyModel, default_energy_model
+from repro.dataflow.compiler import training_instructions
 from repro.explore.engine import (
     NATURAL_ACTIVATION_DENSITY,
     NATURAL_GRADIENT_DENSITY,
@@ -75,7 +64,7 @@ from repro.obs import metrics
 from repro.pruning.threshold import expected_density_after_pruning
 
 # Evaluate workload groups in bounded slabs so million-point sweeps keep each
-# step's temporaries to (chunk, 1) columns instead of (N, 1).
+# step's temporaries to at most this many values per array instead of N.
 CHUNK_POINTS = 32768
 
 
@@ -98,11 +87,6 @@ class DensityGrid:
     output_density: np.ndarray
 
     @classmethod
-    def dense(cls) -> "DensityGrid":
-        one = np.float64(1.0)
-        return cls(one, one, one, one, one)
-
-    @classmethod
     def from_pruning_rates(
         cls,
         num_layers: int,
@@ -112,17 +96,20 @@ class DensityGrid:
     ) -> list["DensityGrid"]:
         """Per-layer grids replicating ``explore.engine.analytic_densities``.
 
-        The scalar closed form :func:`expected_density_after_pruning` is
-        applied once per *unique* rate (its validation and edge-case branches
-        are scalar), so the result matches the engine's per-point map exactly.
+        1-D ``pruning_rates`` give ``(points, 1)`` columns; a 2-D array keeps
+        its shape.  The scalar closed form
+        :func:`expected_density_after_pruning` is applied once per *unique*
+        rate (its validation and edge-case branches are scalar), so the
+        result matches the engine's per-point map exactly.
         """
-        rates = np.asarray(pruning_rates, dtype=np.float64).reshape(-1)
+        rates = np.asarray(pruning_rates, dtype=np.float64)
+        if rates.ndim == 1:
+            rates = rates[:, None]
         grad = np.empty_like(rates)
         for rate in np.unique(rates):
             grad[rates == rate] = expected_density_after_pruning(
                 float(rate), natural_grad_density
             )
-        grad = grad[:, None]
         activation = np.float64(activation_density)
         grid = cls(
             input_density=activation,
@@ -201,20 +188,6 @@ class AnalyticMetrics:
         return AnalyticMetrics(self.cycles[index], self.latency_us[index], self.energy_uj[index])
 
 
-def _step_cost(counts: StepCounts, weights, arch: ArchGrid, energy: EnergyGrid):
-    """Cycles and energy of one (layer, step), as ``AcceleratorSimulator._run_step``."""
-    store = store_dram_words(counts.dram_write_words, counts.step, arch)
-    cycles = np.maximum(compute_cycles(counts, arch), dram_cycles(counts, weights, store, arch))
-    events = EventCounts(
-        macs=counts.macs,
-        reg_accesses=counts.reg_accesses,
-        sram_words=counts.sram_words,
-        dram_words=dram_words(counts, weights, store),
-        cycles=cycles,
-    )
-    return cycles, energy_from_events(events, energy)
-
-
 def estimate_batch(
     spec: ModelSpec,
     densities: Sequence[DensityGrid] | None,
@@ -225,48 +198,37 @@ def estimate_batch(
     """Evaluate one workload over a batch of design points in one call.
 
     ``densities`` holds one grid per layer of ``spec`` (``None`` is all
-    dense, like compiling without a density map); its columns broadcast
-    against the ``(N, 1)`` columns of ``arch``/``energy``.  The dense path
+    dense, like compiling without a density map).  Inputs broadcast, and the
+    metrics are the result flattened row-major: ``(N, 1)`` columns give one
+    value per point, ``(combos, 1)`` architecture columns against ``(1,
+    rates)`` density rows the combo-major grid.  The dense path
     (``sparse=False``) ignores the densities, exactly like compiling with
     ``sparse=False``.
 
-    The layers and steps run in ``compile_training_iteration``'s order —
-    FORWARD from the first layer to the last, then GTA and GTW from the last
-    to the first — and cycles and each energy component are added up in
-    that order, as ``SimulationResult.total_cycles``/``total_energy`` add up
-    the walk's steps, so the totals equal the walk's.
+    The simulator's step loop costs the compiler's instruction stream, and
+    each step's cycles and energy components are added to running totals as
+    the step is produced — the additions ``SimulationResult.total_cycles``/
+    ``total_energy`` make over the walk's steps, in the same order, so the
+    totals equal the walk's.  One step's columns are alive at a time.
     """
-    layers = spec.conv_layers
-    if densities is None:
-        densities = [DensityGrid.dense()] * len(layers)
-    # The compiler loads a layer's weights before its FORWARD and its GTA
-    # step; GTW reuses the operands already streaming for its gradient rows.
-    loaded = [
-        weight_dram_words(
-            layer.weight_count,
-            weight_tiling_factor(layer, layer_densities, arch.buffer_words, sparse),
-            arch,
-        )
-        for layer, layer_densities in zip(layers, densities)
-    ]
-    forward = [(index, StepKind.FORWARD) for index in range(len(layers))]
-    backward = [
-        (index, step)
-        for index in reversed(range(len(layers)))
-        for step in (StepKind.GTA, StepKind.GTW)
-    ]
+    density_map = (
+        None
+        if densities is None
+        else {layer.name: grid for layer, grid in zip(spec.conv_layers, densities)}
+    )
+    steps = AcceleratorSimulator(arch, energy).run_instructions(
+        training_instructions(spec, density_map, sparse), sparse, density_map
+    )
     cycles = 0.0
     energy_pj = EnergyBreakdown()
-    for index, step in forward + backward:
-        counts = STEP_COUNTS[step](layers[index], densities[index], sparse)
-        weights = 0.0 if step is StepKind.GTW else loaded[index]
-        step_cycles, step_energy = _step_cost(counts, weights, arch, energy)
-        cycles = cycles + step_cycles
-        energy_pj.add(step_energy)
+    for step in steps:
+        cycles = cycles + step.cycles
+        energy_pj.add(step.energy)
+        del step  # free this step's columns before the next step is costed
     return AnalyticMetrics(
-        cycles=cycles[:, 0],
-        latency_us=(cycles / (arch.clock_ghz * 1e3))[:, 0],
-        energy_uj=energy_pj.total_uj[:, 0],
+        cycles=cycles.ravel(),
+        latency_us=(cycles / (arch.clock_ghz * 1e3)).ravel(),
+        energy_uj=energy_pj.total_uj.ravel(),
     )
 
 
@@ -398,7 +360,7 @@ class AnalyticGridPlan:
     Materializing one :class:`DesignPoint` per grid cell costs more than the
     closed-form model itself at 10^5+ points, so the sweep compile stage
     hands the analytic tier the axes and lets :func:`evaluate_grid_analytic`
-    build its design-point columns with ``np.repeat``/``np.tile``.  Only
+    evaluate architecture columns against pruning-rate rows.  Only
     valid when every axis is duplicate-free (then every grid cell is a
     distinct point and dedup is a no-op); callers fall back to
     :func:`evaluate_points_analytic` otherwise.
@@ -440,11 +402,12 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
 
     # Combo-level columns (one row per arch combo); points run combo-major,
     # rate-minor — points_for's row-major enumeration order.
+    n_combos = len(arch_overrides)
     num_pes_combo = np.repeat(np.asarray(plan.pes, dtype=np.int64), len(plan.buffers))
     buffer_combo = np.tile(np.asarray(plan.buffers, dtype=np.int64), len(plan.pes))
-    combo_of_point = np.repeat(np.arange(len(arch_overrides)), n_rates)
-    rate_col = np.tile(np.asarray(plan.rates, dtype=np.float64), len(arch_overrides))
-    n_points = rate_col.shape[0]
+    combo_of_point = np.repeat(np.arange(n_combos), n_rates)
+    rate_row = np.asarray(plan.rates, dtype=np.float64)[None, :]
+    rate_col = np.tile(rate_row[0], n_combos)
 
     def arch_grid(base: ArchConfig, combos=slice(None)) -> ArchGrid:
         """``base`` with the swept axes as columns (one row per ``combos``)."""
@@ -460,10 +423,11 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
 
     sparse_base = sparsetrain_config()
     energy = EnergyGrid.from_models([default_energy_model()])
-    # Area and the dense baseline depend on the arch combo but not on the
-    # pruning rate: evaluate them once per combo and expand — per-row numpy
-    # arithmetic is position-independent, so the expanded values are bit-
-    # identical to evaluating the full (combo, rate) cross product.
+    # (combos, 1) architecture columns broadcast against (1, rates) density
+    # rows, so what depends on one axis only (weight tiling, step counts) is
+    # evaluated once per combo or per rate; area and the dense baseline, once
+    # per combo and expanded.  Element-wise arithmetic does not depend on the
+    # layout, so every value equals the point-by-point cross product's.
     area_combo = estimate_area(arch_grid(sparse_base)).total_mm2[:, 0]
     baseline_grid = arch_grid(dense_baseline_config())
     rate_list = rate_col.tolist()
@@ -480,20 +444,17 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
         f"{rate_repr}|{ov_repr}|()" for ov_repr in ov_reprs for rate_repr in rate_reprs
     ]
 
+    combos_per_chunk = max(1, CHUNK_POINTS // max(1, n_rates))
     records: list[EvaluationRecord] = []
     for model, dataset in plan.workloads:
         spec = get_model_spec(model, dataset)
         prefix = f"analytic:{model}/{dataset}@"
         baseline = estimate_batch(spec, None, baseline_grid, energy, sparse=False)
-        for lo in range(0, n_points, CHUNK_POINTS):
-            rows = slice(lo, min(lo + CHUNK_POINTS, n_points))
-            combos = combo_of_point[rows]
-            sparse = estimate_batch(
-                spec,
-                DensityGrid.from_pruning_rates(spec.num_conv_layers, rate_col[rows]),
-                arch_grid(sparse_base, combos),
-                energy,
-            )
+        densities = DensityGrid.from_pruning_rates(spec.num_conv_layers, rate_row)
+        for first in range(0, n_combos, combos_per_chunk):
+            combos = slice(first, min(first + combos_per_chunk, n_combos))
+            rows = slice(combos.start * n_rates, combos.stop * n_rates)
+            sparse = estimate_batch(spec, densities, arch_grid(sparse_base, combos), energy)
             records.extend(
                 _records(
                     [prefix + suffix for suffix in key_suffixes[rows]],
@@ -505,7 +466,7 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
                     buffer_list[rows],
                     area_list[rows],
                     sparse,
-                    baseline.take(combos),
+                    baseline.take(combo_of_point[rows]),
                 )
             )
     metrics().counter("analytic.points_evaluated").inc(len(records))

@@ -1,20 +1,20 @@
 """Cross-validation of the column evaluator against the instruction-stream walk.
 
 The ``analytic-validate`` experiment samples a seeded grid of (workload,
-architecture, density) points, evaluates every point through *both* evaluators
-of the one cost model — the column evaluator (:mod:`repro.analytic.model`) and
-the instruction-stream walk (``AcceleratorSimulator.run_program``) — and
-reports the per-metric relative-error distribution against enforceable
-bounds.
+architecture, density) points, evaluates every point through the simulator's
+one step loop on *both* numeric types — numpy columns
+(:mod:`repro.analytic.model`) and one point's floats (the instruction-stream
+walk, ``AcceleratorSimulator.run_program``) — and reports the per-metric
+relative-error distribution against enforceable bounds.
 
 Error-bound policy
 ------------------
-Both evaluators run the same formulas on the same layers and add up the same
-per-step terms in the same program order, so every metric is expected to be
+Both run the same step loop over the same instruction stream and add up the
+same per-step terms in the same order, so every metric is expected to be
 *equal*: ``max_rel_error`` is 0.0.  The default bound of **1e-9 relative
 error on every metric** is kept as the gate's unit (callers divide by it);
-any non-zero error means an evaluator sums, orders or feeds the formulas
-differently and must be treated as a bug, never widened away.  CI runs the
+any non-zero error means a numeric type computes a formula differently and
+must be treated as a bug, never widened away.  CI runs the
 smoke scale of this experiment and fails on ``payload["ok"] == False`` or a
 non-zero ``max_rel_error``.
 

@@ -143,8 +143,8 @@ class Experiment:
             )
         options = options if options is not None else RunOptions()
         # ``parallel=False`` forces the serial path; otherwise the worker
-        # count decides (None/1 = serial, >1 = pool), matching the historical
-        # ``simulate_many`` semantics the fig/bench pipelines rely on.
+        # count decides (None/1 = serial, >1 = pool), which the fig/bench
+        # pipelines rely on.
         if trace_id is None:
             from repro.obs import current_trace
 

@@ -1,7 +1,7 @@
 """The shared worker-pool execution primitive of the experiment pipeline.
 
 Before the :mod:`repro.api` layer existed, every batch-parallel caller —
-``sim.runner.simulate_many``, the exploration engine, the fig8/fig9
+the workload batch API, the exploration engine, the fig8/fig9
 ``--workers`` path — carried its own copy of the same ``ProcessPoolExecutor``
 dance (chunk sizing, ordered results, the serial fallback for sandboxed
 interpreters).  :class:`Runner` is that dance written once; every pipeline
@@ -223,9 +223,9 @@ def default_runner(
 ) -> Runner:
     """The pipeline-context runner for a worker-count request.
 
-    Mirrors the historical ``simulate_many`` semantics: no explicit worker
-    count (or an explicit 1) means serial execution, anything larger opts into
-    the pool.  Pass ``parallel`` to override that inference.
+    No explicit worker count (or an explicit 1) means serial execution,
+    anything larger opts into the pool.  Pass ``parallel`` to override that
+    inference.
     """
     if parallel is None:
         parallel = max_workers is not None and max_workers > 1

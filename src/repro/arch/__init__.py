@@ -1,20 +1,19 @@
 """Accelerator architecture model (the paper's Section V).
 
-PE / PPU / PE-group row-operation models, the global buffer and DRAM, the
-controller that schedules row operations, the layer-level accelerator
-simulator, and the energy model.
+PE / PPU / PE-group row-operation models, the controller that schedules row
+operations, the layer-level accelerator simulator with its one step loop
+(on one point's floats or on numpy columns), the global buffer's weight
+tiling, and the energy and area models.
 """
 
 from repro.arch.accelerator import AcceleratorSimulator
 from repro.arch.area import AreaBreakdown, AreaModel, estimate_area, iso_area_pe_count
-from repro.arch.buffer import BufferStats, GlobalBuffer
 from repro.arch.config import (
     ArchConfig,
     dense_baseline_config,
     sparsetrain_config,
 )
 from repro.arch.controller import Controller, ScheduleResult
-from repro.arch.dram import DRAM, DRAMStats
 from repro.arch.energy import (
     EnergyBreakdown,
     EnergyModel,
@@ -42,10 +41,6 @@ __all__ = [
     "PPUStats",
     "PEGroup",
     "GroupResult",
-    "GlobalBuffer",
-    "BufferStats",
-    "DRAM",
-    "DRAMStats",
     "Controller",
     "ScheduleResult",
     "AcceleratorSimulator",

@@ -15,14 +15,16 @@ into cycles and energy.  The model is deliberately explicit:
   words, elapsed cycles for leakage) multiplied by the per-event costs of the
   :class:`~repro.arch.energy.EnergyModel`.
 
-The per-step machine model is the module-level functions below.  They are
-plain arithmetic on the attributes they read, so they evaluate on one step's
-Python numbers (:meth:`AcceleratorSimulator.run_program`, the instruction-
-stream walk) and element-wise on numpy columns (the column evaluator,
-:func:`repro.analytic.model.estimate_batch`, passing an
-:class:`~repro.analytic.model.ArchGrid` for ``config``).  Both evaluators cost
-the steps in the compiled program's order and add them up in that order, so
-their totals are equal; only ``max`` becomes ``np.maximum``.
+There is one step loop, :meth:`AcceleratorSimulator.run_instructions`: it
+costs a stream of compiled instructions and yields one
+:class:`~repro.arch.results.StepResult` per (layer, step).  On one point's
+Python floats it is the instruction-stream walk, which
+:meth:`~AcceleratorSimulator.run_program` collects into a
+:class:`~repro.arch.results.SimulationResult`; on the numpy columns of
+:mod:`repro.analytic.model` (``ArchGrid``, ``EnergyGrid``, ``DensityGrid``)
+it costs a whole design grid at once.  The machine model below is plain
+arithmetic on the attributes it reads; only :func:`step_cycles` differs by
+type (``max`` vs ``np.maximum``).
 
 Running the same simulator on a program compiled with ``sparse=False`` and a
 :func:`~repro.arch.config.dense_baseline_config` models the Eyeriss-like dense
@@ -32,9 +34,12 @@ and Fig. 9 make.
 
 from __future__ import annotations
 
-from repro.arch.buffer import GlobalBuffer, weight_tiling_factor
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
+
+from repro.arch.buffer import weight_tiling_factor
 from repro.arch.config import ArchConfig
-from repro.arch.dram import DRAM
 from repro.arch.energy import (
     EnergyModel,
     EventCounts,
@@ -44,6 +49,7 @@ from repro.arch.energy import (
 from repro.arch.results import SimulationResult, StepResult
 from repro.dataflow.counts import LayerDensities, StepCounts, StepKind
 from repro.dataflow.instructions import (
+    Instruction,
     LoadWeightsInstruction,
     Program,
     StepInstruction,
@@ -73,7 +79,7 @@ def weight_dram_words(load_words, tiling, config: ArchConfig) -> float:
     return load_words * tiling / config.batch_size
 
 
-def store_dram_words(words, step: StepKind | None, config: ArchConfig) -> float:
+def store_dram_words(words, step: StepKind, config: ArchConfig) -> float:
     """Per-sample DRAM words of a step's output store.
 
     Weight gradients (the GTW step's output) are accumulated on chip over the
@@ -94,14 +100,28 @@ def dram_words(counts: StepCounts, weight_words, store_words) -> float:
     return counts.dram_read_words + weight_words + store_words
 
 
+def step_cycles(compute, dram):
+    """A step's latency: the longer of its compute and its DRAM transfers.
+
+    Transfers are double-buffered, so they overlap the computation.  This is
+    the one formula that must know its numeric type: ``max`` keeps one
+    point's Python floats, ``np.maximum`` works element-wise on columns.
+    """
+    if isinstance(compute, np.ndarray) or isinstance(dram, np.ndarray):
+        return np.maximum(compute, dram)
+    return max(compute, dram)
+
+
 class AcceleratorSimulator:
-    """Simulate one accelerator configuration executing compiled programs."""
+    """Simulate one accelerator configuration executing compiled programs.
+
+    ``config``/``energy_model`` may be an ``ArchGrid``/``EnergyGrid`` of numpy
+    columns: every step is then costed for a whole grid of points at once.
+    """
 
     def __init__(self, config: ArchConfig, energy_model: EnergyModel | None = None) -> None:
         self.config = config
         self.energy_model = energy_model if energy_model is not None else default_energy_model()
-        self.buffer = GlobalBuffer(config.buffer_words)
-        self.dram = DRAM(config.dram_words_per_cycle)
 
     def run_program(
         self,
@@ -112,8 +132,7 @@ class AcceleratorSimulator:
 
         ``densities`` is only needed for the buffer-fit (weight tiling)
         analysis; the per-step operand counts are already baked into the
-        program by the compiler.  Each step is costed once, together with
-        the weight load before it and the output store after it.
+        program by the compiler.
         """
         config = self.config
         result = SimulationResult(
@@ -123,48 +142,76 @@ class AcceleratorSimulator:
             sparse=program.sparse,
             clock_ghz=config.clock_ghz,
         )
+        result.steps.extend(
+            self.run_instructions(program.instructions, program.sparse, densities)
+        )
+        return result
 
+    def run_instructions(
+        self,
+        instructions: Iterable[Instruction],
+        sparse: bool,
+        densities: Mapping[str, LayerDensities] | None = None,
+    ) -> Iterator[StepResult]:
+        """Cost a stream of compiled instructions, one step at a time.
+
+        Yields one :class:`StepResult` per (layer, step), in stream order.
+        A step is costed together with the weight load before it and the
+        output store that ends it, as soon as that store arrives, so the
+        loop holds one step at a time.  ``sparse`` is the compiled
+        program's flag; it selects the compressed working set for the
+        weight tiling.  The FORWARD and GTA loads of a layer fetch identical
+        tiles, so a load's weight traffic is computed once and reused by
+        later loads of the same words.
+        """
+        config = self.config
+        densities = densities if densities is not None else {}
+        weight_traffic: dict[tuple[str, float], object] = {}
         pending_weight_words = 0.0
         step: StepInstruction | None = None
         weight_words = 0.0
-        store_words = 0.0
 
-        for instruction in program.instructions:
+        for instruction in instructions:
             if isinstance(instruction, LoadWeightsInstruction):
                 pending_weight_words += float(instruction.words)
             elif isinstance(instruction, StoreOutputInstruction):
-                # An output store belongs to the step that produced it.
-                store_words += store_dram_words(
-                    float(instruction.words), step.step if step is not None else None, config
-                )
+                if step is None:
+                    raise ValueError(
+                        f"output store of {instruction.layer_name!r} follows no step"
+                    )
+                store_words = store_dram_words(instruction.words, step.step, config)
+                yield self._cost_step(step, weight_words, store_words)
+                step = None
             elif isinstance(instruction, StepInstruction):
-                if step is not None:
-                    result.steps.append(self._run_step(step, weight_words, store_words))
-                    store_words = 0.0
+                if step is not None:  # a step that stores no output
+                    yield self._cost_step(step, weight_words, 0.0)
                 step = instruction
                 weight_words = 0.0
                 if pending_weight_words > 0.0:
-                    layer_densities = (densities or {}).get(instruction.layer.name)
-                    tiling = weight_tiling_factor(
-                        instruction.layer,
-                        layer_densities if layer_densities is not None else LayerDensities.dense(),
-                        self.buffer.capacity_words,
-                        config.sparse_dataflow,
-                    )
-                    weight_words = weight_dram_words(pending_weight_words, tiling, config)
+                    key = (instruction.layer_name, pending_weight_words)
+                    weight_words = weight_traffic.get(key)
+                    if weight_words is None:
+                        tiling = weight_tiling_factor(
+                            instruction.layer,
+                            densities.get(instruction.layer_name, LayerDensities.dense()),
+                            config.buffer_words,
+                            sparse,
+                        )
+                        weight_words = weight_traffic[key] = weight_dram_words(
+                            pending_weight_words, tiling, config
+                        )
                     pending_weight_words = 0.0
         if step is not None:
-            result.steps.append(self._run_step(step, weight_words, store_words))
-        return result
+            yield self._cost_step(step, weight_words, 0.0)
 
-    def _run_step(
-        self, instruction: StepInstruction, weight_words: float, store_words: float
+    def _cost_step(
+        self, instruction: StepInstruction, weight_words, store_words
     ) -> StepResult:
         """Cost one step with its weight load and output store."""
         counts = instruction.counts
         compute = compute_cycles(counts, self.config)
         dram = dram_cycles(counts, weight_words, store_words, self.config)
-        cycles = max(compute, dram)
+        cycles = step_cycles(compute, dram)
         events = EventCounts(
             macs=counts.macs,
             reg_accesses=counts.reg_accesses,
@@ -172,10 +219,6 @@ class AcceleratorSimulator:
             dram_words=dram_words(counts, weight_words, store_words),
             cycles=cycles,
         )
-        self.buffer.record_reads(counts.sram_read_words)
-        self.buffer.record_writes(counts.sram_write_words)
-        self.dram.record_reads(counts.dram_read_words + weight_words)
-        self.dram.record_writes(store_words)
         return StepResult(
             layer_name=instruction.layer_name,
             step=instruction.step,

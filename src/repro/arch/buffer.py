@@ -1,94 +1,23 @@
-"""Global SRAM buffer model.
+"""Global SRAM buffer model: working set and weight tiling.
 
 The paper provisions a 386 KB SRAM global buffer "sufficient for storing data
-used in each iteration" of the evaluated layers.  The Python model tracks two
-things: the access count (every word read or written by the PE array costs
-SRAM energy) and whether a layer's working set actually fits — when it does
-not, the working set has to be streamed from DRAM in tiles and the weight
-traffic multiplies accordingly.
+used in each iteration" of the evaluated layers.  The model asks whether a
+layer's working set actually fits: when it does not, the activations are
+streamed from DRAM in tiles and the weight traffic multiplies accordingly.
+The buffer's access energy needs no model of its own — every step's SRAM
+words are counted by :mod:`repro.dataflow.counts` and priced by the energy
+model.
+
+Like :mod:`repro.dataflow.counts`, the formulas are plain arithmetic, so they
+evaluate on one layer's Python numbers or element-wise on numpy columns
+(``capacity_words`` and the densities may be columns).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.dataflow.counts import LayerDensities, compressed_words
 from repro.models.spec import ConvLayerSpec
 
-
-@dataclass
-class BufferStats:
-    """Accumulated buffer activity in 16-bit words."""
-
-    read_words: float = 0.0
-    write_words: float = 0.0
-
-    @property
-    def total_words(self) -> float:
-        return self.read_words + self.write_words
-
-
-class GlobalBuffer:
-    """Capacity accounting and access counting for the global SRAM buffer."""
-
-    def __init__(self, capacity_words: int) -> None:
-        if capacity_words <= 0:
-            raise ValueError(f"capacity_words must be positive, got {capacity_words}")
-        self.capacity_words = int(capacity_words)
-        self.stats = BufferStats()
-
-    def record_reads(self, words: float) -> None:
-        """Count ``words`` read by the PE array."""
-        if words < 0:
-            raise ValueError(f"words must be non-negative, got {words}")
-        self.stats.read_words += words
-
-    def record_writes(self, words: float) -> None:
-        """Count ``words`` written by the PPUs / DMA."""
-        if words < 0:
-            raise ValueError(f"words must be non-negative, got {words}")
-        self.stats.write_words += words
-
-    def reset(self) -> None:
-        self.stats = BufferStats()
-
-    # ------------------------------------------------------------------
-    # Working-set / tiling analysis
-    # ------------------------------------------------------------------
-    def activation_words(
-        self,
-        layer: ConvLayerSpec,
-        densities: LayerDensities,
-        sparse: bool = True,
-    ) -> float:
-        """Words needed to hold one sample's activations (see :func:`activation_words`)."""
-        return activation_words(layer, densities, sparse)
-
-    def working_set_words(
-        self,
-        layer: ConvLayerSpec,
-        densities: LayerDensities,
-        sparse: bool = True,
-    ) -> float:
-        """Words needed to hold one sample's full working set (activations + weights)."""
-        return activation_words(layer, densities, sparse) + layer.weight_count
-
-    def fits(self, layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True) -> bool:
-        """Whether the per-sample working set of ``layer`` fits in the buffer."""
-        return self.working_set_words(layer, densities, sparse) <= self.capacity_words
-
-    def weight_tiling_factor(
-        self, layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
-    ) -> float:
-        """How many times a layer's weights are re-fetched (see :func:`weight_tiling_factor`)."""
-        return weight_tiling_factor(layer, densities, self.capacity_words, sparse)
-
-
-# ----------------------------------------------------------------------
-# Working-set formulas.  Like :mod:`repro.dataflow.counts` they are plain
-# arithmetic, so they evaluate on one layer's Python numbers or element-wise
-# on the analytic tier's numpy columns (``capacity_words`` may be a column).
-# ----------------------------------------------------------------------
 
 def activation_words(
     layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True

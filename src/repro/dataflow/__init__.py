@@ -1,8 +1,8 @@
 """The 1-D convolution sparse training dataflow (the paper's Section IV)."""
 
 from repro.dataflow.compiler import (
-    compile_forward,
     compile_training_iteration,
+    training_instructions,
     uniform_densities,
 )
 from repro.dataflow.compressed import (
@@ -85,7 +85,7 @@ __all__ = [
     "LoadWeightsInstruction",
     "StoreOutputInstruction",
     "SyncInstruction",
-    "compile_forward",
     "compile_training_iteration",
+    "training_instructions",
     "uniform_densities",
 ]

@@ -1,7 +1,9 @@
 """Compiler from model specifications to accelerator instruction streams.
 
-``compile_training_iteration`` lowers a :class:`~repro.models.spec.ModelSpec`
-into the instruction order a training iteration executes on the accelerator:
+``training_instructions`` lowers a :class:`~repro.models.spec.ModelSpec` into
+the instruction order a training iteration executes on the accelerator, one
+instruction at a time, and ``compile_training_iteration`` collects that
+stream into a :class:`~repro.dataflow.instructions.Program`:
 
 1. Forward pass, first conv layer to last (SRC steps);
 2. Backward pass, last conv layer to first — for every layer the GTA step
@@ -10,17 +12,21 @@ into the instruction order a training iteration executes on the accelerator:
 
 Per-layer operand densities come from a ``densities`` mapping (measured by the
 sparsity profiler or constructed analytically); layers missing from the map
-fall back to fully dense operands.  Compiling with ``sparse=False`` produces
-the dense-baseline programme: identical structure, densities forced to 1.0
-and no compression.
+fall back to fully dense operands.  A map value may also be a
+:class:`~repro.analytic.model.DensityGrid` of numpy columns: the count
+formulas then yield column counts, which is how the column evaluator costs a
+whole design grid with one pass over the stream.  Compiling with
+``sparse=False`` produces the dense-baseline programme: identical structure,
+densities forced to 1.0 and no compression.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from repro.dataflow.counts import LayerDensities, StepKind, gta_counts, gtw_counts, forward_counts
+from repro.dataflow.counts import STEP_COUNTS, LayerDensities, StepKind
 from repro.dataflow.instructions import (
+    Instruction,
     LoadWeightsInstruction,
     Program,
     StepInstruction,
@@ -38,48 +44,50 @@ def _densities_for(layer: ConvLayerSpec, densities: DensityMap | None) -> LayerD
     return densities.get(layer.name, LayerDensities.dense())
 
 
-def compile_forward(
+def training_instructions(
     spec: ModelSpec, densities: DensityMap | None = None, sparse: bool = True
-) -> Program:
-    """Compile only the forward pass (useful for inference-style studies)."""
-    program = Program(model_name=spec.name, dataset=spec.dataset, sparse=sparse)
+) -> Iterator[Instruction]:
+    """Yield one training iteration's instructions (one sample), in order.
+
+    Each step's counts are computed only when its instruction is produced
+    and are not held once its output store has been consumed, so a consumer
+    that costs the stream as it goes holds one step at a time — the column
+    evaluator relies on this, since on numpy columns every count is a
+    column.
+    """
+    # Forward pass: input layer to output layer.
     for layer in spec.conv_layers:
-        layer_densities = _densities_for(layer, densities)
-        counts = forward_counts(layer, layer_densities, sparse)
-        program.append(LoadWeightsInstruction(layer.name, layer.weight_count))
-        program.append(StepInstruction(layer.name, StepKind.FORWARD, layer, counts))
-        program.append(StoreOutputInstruction(layer.name, counts.dram_write_words))
-        program.append(SyncInstruction(f"{layer.name}/forward"))
-    return program
+        yield LoadWeightsInstruction(layer.name, layer.weight_count)
+        yield from _step(layer, StepKind.FORWARD, densities, sparse)
+        yield SyncInstruction(f"{layer.name}/forward")
+
+    # Backward pass: output layer back to input layer; GTA then GTW per layer.
+    for layer in reversed(spec.conv_layers):
+        yield LoadWeightsInstruction(layer.name, layer.weight_count)
+        yield from _step(layer, StepKind.GTA, densities, sparse)
+        yield from _step(layer, StepKind.GTW, densities, sparse)
+        yield SyncInstruction(f"{layer.name}/backward")
+
+
+def _step(
+    layer: ConvLayerSpec, kind: StepKind, densities: DensityMap | None, sparse: bool
+) -> Iterator[Instruction]:
+    """One step of one layer and the store of its output."""
+    counts = STEP_COUNTS[kind](layer, _densities_for(layer, densities), sparse)
+    yield StepInstruction(layer.name, kind, layer, counts)
+    yield StoreOutputInstruction(layer.name, counts.dram_write_words)
 
 
 def compile_training_iteration(
     spec: ModelSpec, densities: DensityMap | None = None, sparse: bool = True
 ) -> Program:
     """Compile a full training iteration (Forward + GTA + GTW) for one sample."""
-    program = Program(model_name=spec.name, dataset=spec.dataset, sparse=sparse)
-
-    # Forward pass: input layer to output layer.
-    for layer in spec.conv_layers:
-        layer_densities = _densities_for(layer, densities)
-        counts = forward_counts(layer, layer_densities, sparse)
-        program.append(LoadWeightsInstruction(layer.name, layer.weight_count))
-        program.append(StepInstruction(layer.name, StepKind.FORWARD, layer, counts))
-        program.append(StoreOutputInstruction(layer.name, counts.dram_write_words))
-        program.append(SyncInstruction(f"{layer.name}/forward"))
-
-    # Backward pass: output layer back to input layer; GTA then GTW per layer.
-    for layer in reversed(spec.conv_layers):
-        layer_densities = _densities_for(layer, densities)
-        gta = gta_counts(layer, layer_densities, sparse)
-        gtw = gtw_counts(layer, layer_densities, sparse)
-        program.append(LoadWeightsInstruction(layer.name, layer.weight_count))
-        program.append(StepInstruction(layer.name, StepKind.GTA, layer, gta))
-        program.append(StoreOutputInstruction(layer.name, gta.dram_write_words))
-        program.append(StepInstruction(layer.name, StepKind.GTW, layer, gtw))
-        program.append(StoreOutputInstruction(layer.name, gtw.dram_write_words))
-        program.append(SyncInstruction(f"{layer.name}/backward"))
-    return program
+    return Program(
+        model_name=spec.name,
+        dataset=spec.dataset,
+        sparse=sparse,
+        instructions=list(training_instructions(spec, densities, sparse)),
+    )
 
 
 def uniform_densities(

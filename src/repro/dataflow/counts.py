@@ -93,8 +93,15 @@ class LayerDensities:
 
     @classmethod
     def dense(cls) -> "LayerDensities":
-        """All-dense densities (the baseline's view of every layer)."""
-        return cls()
+        """All-dense densities (the baseline's view of every layer).
+
+        One shared instance (the class is frozen): the compiler and the
+        simulator ask for it once per step of every dense layer.
+        """
+        return _ALL_DENSE
+
+
+_ALL_DENSE = LayerDensities()
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ per-layer densities into the instruction types defined here, and
 :class:`repro.arch.accelerator.AcceleratorSimulator` executes them.
 
 Granularity: one :class:`StepInstruction` per (layer, training step), wrapped
-by weight-load and output-store instructions that carry the buffer/DRAM
-traffic the step implies.  This is the right granularity for the layer-level
-performance model; the PE-level model consumes raw row operations instead.
+by weight-load and output-store instructions that carry the DRAM traffic the
+step implies.  This is the right granularity for the layer-level performance
+model; the PE-level model consumes raw row operations instead.  The compiler
+produces the stream one instruction at a time and the simulator costs it as
+it arrives; a :class:`Program` is that stream collected into a list.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ machinery a survey-scale sweep needs:
 * **persistent caching** — points found in a :class:`ResultCache` are never
   re-evaluated, so a repeated sweep costs only file I/O;
 * **column evaluation** — the cache misses are costed together by
-  :func:`repro.analytic.model.evaluate_points_analytic`, the cost model's
-  formulas on numpy columns, whose records equal :func:`evaluate_point`'s;
+  :func:`repro.analytic.model.evaluate_points_analytic`, the simulator's step
+  loop on numpy columns, whose records equal :func:`evaluate_point`'s;
 * **streaming** — :meth:`ExplorationEngine.run_iter` yields cached records
   before the misses are evaluated.
 

@@ -18,7 +18,10 @@ Crash-recovery contract:
 * If this process dies (SIGKILL, OOM, power loss), the lease stops being
   extended and lapses.  Every worker reaps expired leases when it starts and
   every half lease TTL while it is between jobs, so a surviving (or
-  respawned) worker requeues the job and re-executes it.
+  respawned) worker requeues the job and re-executes it.  The same pass
+  deletes the dead worker's registry row once its heartbeat is twice the
+  lease TTL old (or twice the poll interval, if that is longer), so
+  ``/healthz`` and ``repro top`` stop listing it.
 * If this worker is merely *slow* and its lease is reaped out from under
   it, the owner guard on ``record_stage``/``mark_done``/``mark_failed``
   discards its late writes: the job's outcome belongs to whoever holds the
@@ -139,6 +142,10 @@ class Worker:
         )
         self.poll_interval = poll_interval
         self.reap_interval = max(self.heartbeat_interval, lease_ttl / 2.0)
+        # A live worker refreshes its row on every idle poll and every
+        # heartbeat while it runs a job, so a row this stale belongs to a
+        # worker that died without deregistering (SIGKILL, OOM).
+        self.prune_after = 2.0 * max(lease_ttl, poll_interval, self.heartbeat_interval)
         self.retry_base_delay = retry_base_delay
         self.retry_max_delay = retry_max_delay
         self._execute = execute if execute is not None else _default_execute
@@ -194,6 +201,12 @@ class Worker:
                         self._log(
                             f"worker {self.worker_id}: quarantined crash-"
                             f"looping job {job_id[:12]}"
+                        )
+                    pruned = self.store.prune_workers(max_age=self.prune_after)
+                    if pruned:
+                        self._log(
+                            f"worker {self.worker_id}: pruned {pruned} dead"
+                            " worker row(s)"
                         )
                     next_reap = time.monotonic() + self.reap_interval
                 job = self.store.claim_next(

@@ -6,7 +6,6 @@ from repro.sim.runner import (
     WorkloadResult,
     compare_workload,
     simulate_baseline,
-    simulate_many,
     simulate_sparsetrain,
 )
 from repro.sim.trace import (
@@ -22,7 +21,6 @@ __all__ = [
     "WorkloadJob",
     "WorkloadResult",
     "compare_workload",
-    "simulate_many",
     "simulate_sparsetrain",
     "simulate_baseline",
     "format_latency_table",

@@ -10,9 +10,6 @@ speedup and energy-efficiency numbers the paper's Fig. 8 / Fig. 9 report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-from repro.api.runner import default_runner
 
 from repro.arch.accelerator import AcceleratorSimulator
 from repro.arch.config import ArchConfig, dense_baseline_config, sparsetrain_config
@@ -91,13 +88,14 @@ def compare_workload(
 
 
 # ---------------------------------------------------------------------------
-# Batch API
+# Work units for ``Runner`` fan-out
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WorkloadJob:
     """One ``compare_workload`` invocation, packaged so batches can be
-    shipped to worker processes (every field is picklable)."""
+    shipped to worker processes (every field is picklable); fig8/fig9 and
+    bench map :func:`_run_job` over them with ``ctx.runner.map``."""
 
     spec: ModelSpec
     densities: dict[str, LayerDensities]
@@ -114,25 +112,3 @@ def _run_job(job: WorkloadJob) -> WorkloadResult:
         baseline_config=job.baseline_config,
         energy_model=job.energy_model,
     )
-
-
-def simulate_many(
-    jobs: Sequence[WorkloadJob],
-    max_workers: int | None = None,
-    partial: list[WorkloadResult] | None = None,
-) -> list[WorkloadResult]:
-    """Run a batch of workload comparisons, optionally across processes.
-
-    ``max_workers=None`` or ``1`` runs serially in-process (deterministic,
-    test-friendly); larger values fan the jobs out over worker processes via
-    the shared :class:`repro.api.runner.Runner` primitive (which also owns
-    the serial fallback for sandboxes that forbid spawning, and the
-    terminate-and-join teardown that keeps an interrupt from orphaning
-    workers).  Results are returned in job order either way.  ``partial``,
-    when given, receives each result as it is delivered, so an interrupted
-    batch surfaces everything completed before the interrupt.  This is the
-    light-weight batch primitive for callers that already hold specs and
-    densities; design-space sweeps over architecture/pruning knobs (with
-    caching and deduplication) live in :mod:`repro.explore`.
-    """
-    return default_runner(max_workers).map(_run_job, list(jobs), partial=partial)

@@ -7,11 +7,28 @@ with ``==``; any difference is an evaluator bug.
 
 from __future__ import annotations
 
+import sys
+
+import numpy as np
 import pytest
 
-from repro.analytic.model import analytic_point_key, evaluate_points_analytic
+import repro.analytic.model as model
+from repro.analytic.model import (
+    AnalyticGridPlan,
+    ArchGrid,
+    DensityGrid,
+    EnergyGrid,
+    analytic_point_key,
+    evaluate_grid_analytic,
+    evaluate_points_analytic,
+)
 from repro.analytic.validate import sample_validation_points
-from repro.explore.engine import DesignPoint, evaluate_point
+from repro.arch.accelerator import AcceleratorSimulator
+from repro.arch.config import dense_baseline_config, sparsetrain_config
+from repro.arch.energy import EnergyModel
+from repro.dataflow.compiler import compile_training_iteration, training_instructions
+from repro.explore.engine import DesignPoint, analytic_densities, evaluate_point
+from repro.models.zoo import get_model_spec
 
 RECORD_METRICS = (
     "latency_us",
@@ -148,3 +165,131 @@ class TestObsCounters:
         before = total()
         evaluate_points_analytic(POINTS[:3])
         assert total() == before + 3
+
+
+# ---------------------------------------------------------------------------
+# One step loop: the walk and the columns are the same loop on two types
+# ---------------------------------------------------------------------------
+
+#: Plain, strided and grouped convolutions.
+STEP_WORKLOADS = (
+    ("AlexNet", "CIFAR-10"),
+    ("ResNet-18", "ImageNet"),
+    ("MobileNetV1", "CIFAR-10"),
+)
+
+#: Two points that differ in every input the step loop reads.
+STEP_POINTS = (
+    (
+        0.9,
+        dict(num_pes=84, buffer_kib=64, batch_size=8, dram_words_per_cycle=8.0),
+        dict(),
+    ),
+    (
+        0.6,
+        dict(num_pes=336, buffer_kib=772, pe_utilization=0.7, weight_reload_overhead=0.3),
+        dict(dram_pj=80.0, leakage_pj_per_cycle=9.0),
+    ),
+)
+
+
+def _step_fields(step) -> dict:
+    """Every number a ``StepResult`` carries, by name."""
+    fields = {
+        "compute_cycles": step.compute_cycles,
+        "dram_cycles": step.dram_cycles,
+        "cycles": step.cycles,
+    }
+    fields.update({f"events.{k}": v for k, v in vars(step.events).items()})
+    fields.update({f"energy.{k}": v for k, v in vars(step.energy).items()})
+    return fields
+
+
+class TestOneStepLoop:
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("workload", STEP_WORKLOADS, ids="/".join)
+    def test_column_steps_equal_walk_steps(self, workload, sparse):
+        spec = get_model_spec(*workload)
+        make_config = sparsetrain_config if sparse else dense_baseline_config
+        configs = [make_config(**arch) for _, arch, _ in STEP_POINTS]
+        models = [EnergyModel(**energy) for _, _, energy in STEP_POINTS]
+        rates = [rate for rate, _, _ in STEP_POINTS]
+
+        walks = []
+        for config, energy_model, rate in zip(configs, models, rates):
+            densities = analytic_densities(spec, rate) if sparse else None
+            program = compile_training_iteration(spec, densities, sparse)
+            simulator = AcceleratorSimulator(config, energy_model)
+            walks.append(simulator.run_program(program, densities).steps)
+
+        grids = DensityGrid.from_pruning_rates(spec.num_conv_layers, np.asarray(rates))
+        density_map = dict(zip((layer.name for layer in spec.conv_layers), grids))
+        if not sparse:
+            density_map = None
+        columns = list(
+            AcceleratorSimulator(
+                ArchGrid.from_configs(configs), EnergyGrid.from_models(models)
+            ).run_instructions(
+                training_instructions(spec, density_map, sparse), sparse, density_map
+            )
+        )
+
+        assert len(columns) == len(walks[0]) == len(walks[1]) == 3 * spec.num_conv_layers
+        for index, column in enumerate(columns):
+            for k, walk in enumerate(walks):
+                step = walk[index]
+                assert (column.layer_name, column.step) == (step.layer_name, step.step)
+                expected = _step_fields(step)
+                for name, value in _step_fields(column).items():
+                    row = np.broadcast_to(value, (len(walks), 1))[k, 0]
+                    assert row == expected[name], (index, step.layer_name, step.step, name, k)
+
+
+class TestStreaming:
+    def test_first_step_is_costed_before_the_stream_is_drawn(self, monkeypatch):
+        """The column fold draws one step's instructions at a time."""
+        spec = get_model_spec("ResNet-152", "ImageNet")
+        drawn = []
+        original_stream = model.training_instructions
+
+        def counted(*args, **kwargs):
+            for instruction in original_stream(*args, **kwargs):
+                drawn.append(instruction)
+                yield instruction
+
+        drawn_at_cost = []
+        original_cost = AcceleratorSimulator._cost_step
+
+        def cost(self, *args):
+            drawn_at_cost.append(len(drawn))
+            return original_cost(self, *args)
+
+        monkeypatch.setattr(model, "training_instructions", counted)
+        monkeypatch.setattr(AcceleratorSimulator, "_cost_step", cost)
+        evaluate_points_analytic([DesignPoint("ResNet-152", "ImageNet", 0.9)])
+
+        per_pass = 10 * spec.num_conv_layers  # 1,550 on ResNet-152
+        assert len(drawn) == 2 * per_pass  # the sparse and the dense pass
+        # Load, step, store: the first step is costed on the third draw.
+        assert drawn_at_cost[0] == 3
+        assert drawn_at_cost[3 * spec.num_conv_layers] == per_pass + 3
+
+    def test_grids_evaluate_without_the_walk(self, monkeypatch):
+        """Columns never compile a Program or collect a SimulationResult."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the column evaluator ran the walk")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "compile_training_iteration", None) is compile_training_iteration:
+                monkeypatch.setattr(module, "compile_training_iteration", refuse)
+        monkeypatch.setattr(AcceleratorSimulator, "run_program", refuse)
+
+        plan = AnalyticGridPlan(
+            workloads=(("ResNet-152", "ImageNet"), ("MobileNetV1", "CIFAR-10")),
+            pes=(84, 168),
+            buffers=(192, 386),
+            rates=(0.5, 0.9),
+        )
+        assert len(evaluate_grid_analytic(plan)) == len(plan)
+        assert len(evaluate_points_analytic(POINTS)) == len(POINTS)

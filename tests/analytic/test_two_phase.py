@@ -50,6 +50,24 @@ class TestGridFastPath:
         assert len(grid) == len(via_points) == 24
         assert [r.to_dict() for r in grid] == [r.to_dict() for r in via_points]
 
+    def test_grid_chunks_are_invisible(self, monkeypatch):
+        """Chunks hold whole architecture combos, down to one per chunk."""
+        import repro.analytic.model as model
+        from repro.analytic.model import AnalyticGridPlan, evaluate_grid_analytic
+
+        plan = AnalyticGridPlan(
+            workloads=(("AlexNet", "CIFAR-10"), ("ResNet-18", "ImageNet")),
+            pes=(84, 168, 336),
+            buffers=(64, 386),
+            rates=(0.5, 0.9, 0.95),
+        )
+        whole = [record.to_dict() for record in evaluate_grid_analytic(plan)]
+        # Two combos per chunk, then chunks smaller than one combo's rates.
+        for chunk_points in (6, 1):
+            monkeypatch.setattr(model, "CHUNK_POINTS", chunk_points)
+            chunked = evaluate_grid_analytic(plan)
+            assert [record.to_dict() for record in chunked] == whole
+
     def test_sampled_sweep_uses_the_point_path(self):
         # ``sample`` has seeded-subset semantics the grid plan cannot honour.
         result = run_experiment(

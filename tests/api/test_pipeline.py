@@ -154,6 +154,10 @@ class TestRunner:
     def test_single_item_stays_serial(self):
         assert Runner(max_workers=4).map(_square, [5]) == [25]
 
+    def test_empty_batch(self):
+        assert Runner(parallel=False).map(_square, []) == []
+        assert Runner(max_workers=2, parallel=True).map(_square, []) == []
+
     def test_default_runner_semantics(self):
         assert default_runner(None).parallel is False
         assert default_runner(1).parallel is False

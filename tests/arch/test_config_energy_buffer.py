@@ -1,4 +1,4 @@
-"""Tests for architecture configuration, energy model, buffer and DRAM."""
+"""Tests for architecture configuration, energy model and buffer tiling."""
 
 from __future__ import annotations
 
@@ -7,14 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.arch.buffer import GlobalBuffer
+from repro.arch.buffer import activation_words, weight_tiling_factor
 from repro.arch.config import (
     BYTES_PER_WORD,
     ArchConfig,
     dense_baseline_config,
     sparsetrain_config,
 )
-from repro.arch.dram import DRAM
 from repro.arch.energy import (
     EnergyBreakdown,
     EnergyModel,
@@ -165,40 +164,26 @@ class TestEnergyBreakdown:
 
 
 class TestGlobalBuffer:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            GlobalBuffer(0)
-
-    def test_access_recording(self):
-        buffer = GlobalBuffer(1000)
-        buffer.record_reads(10)
-        buffer.record_writes(5)
-        assert buffer.stats.read_words == 10
-        assert buffer.stats.total_words == 15
-        buffer.reset()
-        assert buffer.stats.total_words == 0
-
-    def test_negative_accesses_rejected(self):
-        buffer = GlobalBuffer(10)
-        with pytest.raises(ValueError):
-            buffer.record_reads(-1)
+    """Working set and weight tiling of the global buffer (``arch/buffer.py``)."""
 
     def test_cifar_layers_fit_386kb(self, small_conv_layer):
-        buffer = GlobalBuffer(sparsetrain_config().buffer_words)
-        assert buffer.fits(small_conv_layer, LayerDensities.dense(), sparse=False)
-        assert buffer.weight_tiling_factor(small_conv_layer, LayerDensities.dense()) == 1.0
+        capacity = sparsetrain_config().buffer_words
+        dense = LayerDensities.dense()
+        working_set = activation_words(small_conv_layer, dense, sparse=False)
+        assert working_set + small_conv_layer.weight_count <= capacity
+        assert weight_tiling_factor(small_conv_layer, dense, capacity) == 1.0
 
     def test_cifar_workload_activations_fit_the_buffer(self):
         """The paper states 386 KB is sufficient for its (CIFAR-scale) iterations."""
-        buffer = GlobalBuffer(sparsetrain_config().buffer_words)
+        capacity = sparsetrain_config().buffer_words
         for layer in resnet_spec(18, "CIFAR-10").conv_layers:
-            assert buffer.weight_tiling_factor(layer, LayerDensities.dense(), sparse=False) == 1.0
+            assert weight_tiling_factor(layer, LayerDensities.dense(), capacity, sparse=False) == 1.0
 
     def test_imagenet_early_layers_need_bounded_tiling(self):
         """ImageNet feature maps exceed the buffer but only by a small factor."""
-        buffer = GlobalBuffer(sparsetrain_config().buffer_words)
+        capacity = sparsetrain_config().buffer_words
         factors = [
-            buffer.weight_tiling_factor(layer, LayerDensities.dense(), sparse=False)
+            weight_tiling_factor(layer, LayerDensities.dense(), capacity, sparse=False)
             for layer in resnet_spec(18, "ImageNet").conv_layers
         ]
         assert max(factors) <= 8.0
@@ -206,33 +191,11 @@ class TestGlobalBuffer:
 
     def test_tiny_buffer_forces_tiling(self):
         layer = ConvLayerSpec("big", 64, 64, 3, 1, 1, 128, 128)
-        buffer = GlobalBuffer(10_000)
-        assert buffer.weight_tiling_factor(layer, LayerDensities.dense(), sparse=False) > 1.0
+        assert weight_tiling_factor(layer, LayerDensities.dense(), 10_000, sparse=False) > 1.0
 
     def test_sparse_working_set_smaller_than_dense(self, small_conv_layer):
-        buffer = GlobalBuffer(100_000)
-        sparse_words = buffer.activation_words(
+        sparse_words = activation_words(
             small_conv_layer, LayerDensities(input_density=0.3, output_density=0.3), sparse=True
         )
-        dense_words = buffer.activation_words(small_conv_layer, LayerDensities.dense(), sparse=False)
+        dense_words = activation_words(small_conv_layer, LayerDensities.dense(), sparse=False)
         assert sparse_words < dense_words
-
-
-class TestDRAM:
-    def test_transfer_cycles(self):
-        dram = DRAM(words_per_cycle=8.0)
-        assert dram.transfer_cycles(80) == pytest.approx(10.0)
-
-    def test_traffic_recording(self):
-        dram = DRAM(4.0)
-        dram.record_reads(100)
-        dram.record_writes(50)
-        assert dram.stats.total_words == 150
-        dram.reset()
-        assert dram.stats.total_words == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DRAM(0.0)
-        with pytest.raises(ValueError):
-            DRAM(1.0).transfer_cycles(-1)

@@ -15,6 +15,7 @@ from repro.baselines.eyeriss import DenseBaselineSimulator, dense_training_cycle
 from repro.dataflow.compiler import compile_training_iteration, uniform_densities
 from repro.dataflow.counts import StepKind
 from repro.dataflow.decompose import accumulate_forward, decompose_forward
+from repro.dataflow.instructions import StoreOutputInstruction
 from repro.models.alexnet import alexnet_cifar_spec
 from repro.models.resnet import resnet_spec
 from repro.nn import functional as F
@@ -153,6 +154,26 @@ class TestAcceleratorSimulator:
         program = compile_training_iteration(spec, densities, sparse=True)
         result = AcceleratorSimulator(sparsetrain_config()).run_program(program, densities)
         assert "AlexNet" in result.describe()
+
+    def test_step_without_output_store_costs_zero_store_words(self):
+        program = compile_training_iteration(alexnet_cifar_spec(), sparse=False)
+        simulator = AcceleratorSimulator(dense_baseline_config())
+        stored = list(simulator.run_instructions(program.instructions, sparse=False))
+        unstored = list(
+            simulator.run_instructions(
+                [i for i in program.instructions if not isinstance(i, StoreOutputInstruction)],
+                sparse=False,
+            )
+        )
+        assert [s.step for s in unstored] == [s.step for s in stored]
+        for with_store, without in zip(stored, unstored):
+            assert without.events.macs == with_store.events.macs
+            assert without.events.dram_words < with_store.events.dram_words
+
+    def test_output_store_must_follow_a_step(self):
+        stream = [StoreOutputInstruction("conv1", 10.0)]
+        with pytest.raises(ValueError, match="follows no step"):
+            list(AcceleratorSimulator(sparsetrain_config()).run_instructions(stream, sparse=True))
 
 
 class TestComparisonResult:

@@ -17,8 +17,8 @@ from repro.dataflow.counts import (
     total_processed,
 )
 from repro.dataflow.compiler import (
-    compile_forward,
     compile_training_iteration,
+    training_instructions,
     uniform_densities,
 )
 from repro.dataflow.decompose import decompose_forward, decompose_gta, decompose_gtw
@@ -197,11 +197,25 @@ class TestCountsAgainstDetailedPE:
 
 class TestCompiler:
     def test_forward_program_structure(self):
+        """The forward half: load, step, store, sync per layer, first to last."""
         spec = alexnet_cifar_spec()
-        program = compile_forward(spec)
-        steps = program.step_instructions()
-        assert len(steps) == spec.num_conv_layers
-        assert all(step.step is StepKind.FORWARD for step in steps)
+        program = compile_training_iteration(spec)
+        forward = program.instructions[: 4 * spec.num_conv_layers]
+        for layer, quad in zip(spec.conv_layers, zip(*[iter(forward)] * 4)):
+            load, step, store, sync = quad
+            assert isinstance(load, LoadWeightsInstruction)
+            assert load.words == layer.weight_count
+            assert isinstance(step, StepInstruction) and step.step is StepKind.FORWARD
+            assert step.layer_name == layer.name
+            assert isinstance(store, StoreOutputInstruction)
+            assert store.words == step.counts.dram_write_words
+            assert isinstance(sync, SyncInstruction)
+
+    def test_program_is_the_collected_stream(self):
+        spec = alexnet_cifar_spec()
+        densities = uniform_densities(spec, input_density=0.4, grad_output_density=0.1)
+        program = compile_training_iteration(spec, densities)
+        assert program.instructions == list(training_instructions(spec, densities))
 
     def test_training_program_order(self):
         spec = alexnet_cifar_spec()

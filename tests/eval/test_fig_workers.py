@@ -1,4 +1,4 @@
-"""fig8/fig9 ``max_workers`` routing through ``simulate_many``.
+"""fig8/fig9 ``max_workers`` routing through the pipeline's ``Runner``.
 
 Uses fixed hand-written densities (no training) so the tests are fast and
 deterministic; serial and worker-pool runs must produce identical numbers.

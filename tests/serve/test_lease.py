@@ -16,6 +16,7 @@ from repro.serve.store import (
     RUNNING,
     default_worker_id,
 )
+from repro.serve.worker import Worker
 
 
 def _request(rate: float = 0.9) -> ExperimentRequest:
@@ -299,3 +300,21 @@ class TestWorkerRegistry:
         assert store.prune_workers(max_age=300.0, now=now) == 1
         (worker,) = store.list_workers()
         assert worker["id"] == "host:live"
+
+    def test_worker_reap_pass_prunes_dead_rows(self, store):
+        """A SIGKILL'd worker never deregisters; the next reap pass drops its row."""
+        now = time.time()
+        store.register_worker("host:dead", now=now - 3600.0)
+        store.register_worker("host:fresh", now=now)
+        rows_after_prune = []
+
+        def log(message: str) -> None:
+            if "pruned" in message:
+                rows_after_prune.append({w["id"] for w in store.list_workers()})
+
+        worker = Worker(
+            store, worker_id="host:self", lease_ttl=30.0, poll_interval=0.05, log=log
+        )
+        worker.run(idle_exit=0.2)
+        assert rows_after_prune == [{"host:fresh", "host:self"}]
+        assert [w["id"] for w in store.list_workers()] == ["host:fresh"]
