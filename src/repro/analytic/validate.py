@@ -164,8 +164,8 @@ def _simulate_stage(ctx: PipelineContext) -> dict[str, Any]:
     from repro.analytic.model import evaluate_points_analytic
 
     points = ctx["compile"]
-    # The simulator walk is the expensive half — fan it out over the shared
-    # runner; the analytic half is one vectorized call.
+    # The walk maps point by point through the pipeline's runner (the
+    # per-task metrics); the column half is one vectorized call.
     simulated = ctx.runner.map(evaluate_point, points)
     analytic = evaluate_points_analytic(points)
     return {"simulated": simulated, "analytic": analytic}

@@ -9,7 +9,9 @@ benchmark, the design-space sweeps) executes through this layer:
 * :class:`Pipeline` / :class:`Stage` / :class:`PipelineContext` — the named
   stage graph (``train``, ``prune``, ``profile``, ``compile``, ``simulate``,
   ``report``) with per-stage timing and disk-caching hooks.
-* :class:`Runner` — the single worker-pool fan-out primitive.
+* :class:`Runner` — the order-preserving in-process map every fan-out
+  stage goes through (experiments run in the calling process;
+  ``default_runner`` is its deprecated factory).
 * :func:`register_workload` / :func:`register_experiment` — decorator-based
   registries that ``models/zoo``, the figure/table harnesses, ``bench`` and
   the exploration engine register into; :func:`run_experiment` resolves and

@@ -29,7 +29,7 @@ from repro.api.request import (
     ExperimentResult,
     RunOptions,
 )
-from repro.api.runner import default_runner
+from repro.api.runner import Runner
 from repro.api.stages import Pipeline, PipelineContext
 
 
@@ -142,9 +142,6 @@ class Experiment:
                 f"not {self.name!r}"
             )
         options = options if options is not None else RunOptions()
-        # ``parallel=False`` forces the serial path; otherwise the worker
-        # count decides (None/1 = serial, >1 = pool), which the fig/bench
-        # pipelines rely on.
         if trace_id is None:
             from repro.obs import current_trace
 
@@ -152,9 +149,7 @@ class Experiment:
         ctx = PipelineContext(
             request=request,
             options=options,
-            runner=default_runner(
-                options.max_workers, None if options.parallel else False
-            ),
+            runner=Runner(),
             extras=dict(extras or {}),
             on_stage=on_stage,
             deadline=deadline,

@@ -9,9 +9,9 @@ experiment-specific parameters.  It is JSON round-trippable
 to a service, compared across machines, or used as a cache key.
 
 *How* to execute is deliberately kept out of the request:
-:class:`RunOptions` carries the execution knobs (worker count, cache
-directory, cache enablement) that must not change the result — and therefore
-must not change the content hash.
+:class:`RunOptions` carries the execution knobs (cache directory, cache
+enablement) that must not change the result — and therefore must not change
+the content hash.
 
 An :class:`ExperimentResult` is the JSON-serializable outcome: the request
 that produced it, a payload dict of the experiment's numbers, a formatted
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -36,6 +37,21 @@ from repro.analytic.fidelity import DEFAULT_FIDELITY, Fidelity
 # ``repro.explore.cache.DEFAULT_CACHE_DIR`` (asserted by the API test suite)
 # so the API layer stays import-free at module load.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def _warn_worker_knob(form: str, stacklevel: int) -> None:
+    """Warn that ``form`` (a worker-count knob) is deprecated.
+
+    ``stacklevel`` counts from the caller of this helper, as in
+    :func:`warnings.warn`.
+    """
+    warnings.warn(
+        f"{form} is deprecated and will be removed in the next major release "
+        "(2.0); experiments run in process, so run jobs in parallel with "
+        "`repro serve --fleet N`",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
 
 
 def canonical_json(payload: Any) -> str:
@@ -286,13 +302,9 @@ class RunOptions:
 
     Attributes
     ----------
-    max_workers:
-        Worker processes for stages that fan out.  ``None``/``1`` = serial.
-    parallel:
-        Master parallelism switch: ``False`` forces serial execution in
-        every stage regardless of ``max_workers``; ``True`` (default) lets
-        the worker count decide.  Design-space sweeps start no workers:
-        they evaluate on numpy columns in process.
+    max_workers / parallel:
+        Deprecated and ignored: experiments run in the calling process.
+        Setting either warns.
     use_cache:
         Enable the persistent per-stage disk caches.
     cache_dir:
@@ -300,9 +312,15 @@ class RunOptions:
     """
 
     max_workers: int | None = None
-    parallel: bool = True
+    parallel: bool | None = None
     use_cache: bool = True
     cache_dir: str | Path = DEFAULT_CACHE_DIR
+
+    def __post_init__(self) -> None:
+        if self.max_workers is not None or self.parallel is not None:
+            _warn_worker_knob(
+                "RunOptions(max_workers=..., parallel=...)", stacklevel=3
+            )
 
     def density_cache(self):
         """The measured-density store (``None`` when caching is off)."""

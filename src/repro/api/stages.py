@@ -13,8 +13,8 @@ canonical stage vocabulary:
                summaries and map them onto full-size specs
 ``compile``    lower specs + densities into simulator work units
                (instruction programs, workload jobs, design points)
-``simulate``   execute work units on the architecture model — the stage
-               that fans out over the :class:`~repro.api.runner.Runner`
+``simulate``   execute work units on the architecture model, mapping
+               them in process through the :class:`~repro.api.runner.Runner`
 ``report``     package payload + summary + native result
                (:class:`~repro.api.request.ExperimentReport`)
 =============  ==========================================================
@@ -101,7 +101,7 @@ class PipelineContext:
 
     request: ExperimentRequest
     options: RunOptions = field(default_factory=RunOptions)
-    runner: Runner = field(default_factory=lambda: Runner(parallel=False))
+    runner: Runner = field(default_factory=Runner)
     extras: dict[str, Any] = field(default_factory=dict)
     artifacts: dict[str, Any] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)

@@ -3,7 +3,9 @@
 Every subcommand dispatches through the :mod:`repro.api` experiment registry:
 the CLI builds a typed :class:`~repro.api.ExperimentRequest` plus
 :class:`~repro.api.RunOptions` and executes the registered pipeline — the
-same path library callers and services use.
+same path library callers and services use.  Experiments run in this
+process; ``repro serve --fleet N`` runs jobs in parallel, one per worker
+process.
 
 Subcommands
 -----------
@@ -26,8 +28,7 @@ Subcommands
 ``fig8`` / ``fig9``
     Regenerate the paper's latency (Fig. 8) and energy (Fig. 9) comparisons
     with the measured-density pipeline.  Density measurements are memoized on
-    disk (``--no-cache`` disables) and ``--workers N`` fans the per-workload
-    simulations out over processes.
+    disk (``--no-cache`` disables).
 ``bench``
     Time the pipeline stage by stage (train, compile, simulate, report) and
     write ``BENCH_repro.json`` — the repository's performance trajectory.
@@ -223,7 +224,7 @@ def _sweep_request(args: argparse.Namespace, experiment: str) -> ExperimentReque
     )
 
 
-def _engine_options(args: argparse.Namespace) -> RunOptions:
+def _run_options(args: argparse.Namespace) -> RunOptions:
     return RunOptions(use_cache=not args.no_cache, cache_dir=args.cache_dir)
 
 
@@ -237,7 +238,7 @@ def _check_export_suffix(path: str | None) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_export_suffix(args.out)
-    result = run_experiment(_sweep_request(args, "sweep"), _engine_options(args))
+    result = run_experiment(_sweep_request(args, "sweep"), _run_options(args))
     records = result.native["records"]
     # attrgetter keeps the million-record sort off the Python bytecode path.
     ranked = sorted(records, key=operator.attrgetter("latency_us"))
@@ -258,7 +259,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         print(f"loaded {len(records)} records from {args.from_file}")
         frontiers = pareto_by_workload(records, objectives)
     else:
-        result = run_experiment(_sweep_request(args, "pareto"), _engine_options(args))
+        result = run_experiment(_sweep_request(args, "pareto"), _run_options(args))
         elapsed = sum(result.stage_seconds.values())
         print(f"{result.native['stats']} in {elapsed:.2f}s")
         frontiers = result.native["frontiers"]
@@ -305,12 +306,7 @@ def _run_fig(args: argparse.Namespace, experiment: str) -> int:
         pruning_rate=args.pruning_rate,
         scale=ExperimentScale.thorough() if args.thorough else None,
     )
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
-    result = run_experiment(request, options)
+    result = run_experiment(request, _run_options(args))
     print(result.summary)
     return 0
 
@@ -399,12 +395,7 @@ def request_from_args(args: argparse.Namespace) -> ExperimentRequest:
 
 def cmd_run(args: argparse.Namespace) -> int:
     request = request_from_args(args)
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
-    result = run_experiment(request, options)
+    result = run_experiment(request, _run_options(args))
     text = result.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -484,13 +475,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         return 2
     request = request_from_args(args)
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
     TRACE.clear()  # the exported file covers exactly this run
-    result = run_experiment(request, options)
+    result = run_experiment(request, _run_options(args))
     print(result.summary)
     spans = TRACE.write_chrome_trace(args.out)
     print(
@@ -568,10 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
             help="experiment-specific parameter (JSON values accepted; repeatable)",
-        )
-        parser.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="worker processes for fan-out stages (default: serial)",
         )
         parser.add_argument(
             "--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -665,10 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="use the larger, slower experiment scale",
         )
         fig.add_argument("--pruning-rate", type=float, default=0.9)
-        fig.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="simulate workloads across N worker processes (default: serial)",
-        )
         fig.add_argument(
             "--cache-dir", default=DEFAULT_CACHE_DIR,
             help="directory of the measured-density cache (default: %(default)s)",

@@ -26,6 +26,7 @@ from repro.models.alexnet import build_alexnet
 from repro.models.mobilenet import build_mobilenet
 from repro.models.resnet import build_resnet
 from repro.models.vgg import build_vgg
+from repro.models.zoo import model_family
 from repro.nn.layers.base import Layer
 from repro.utils.rng import new_rng, stable_hash_seed
 
@@ -181,6 +182,16 @@ def build_reduced_model(model_name: str, num_classes: int, scale: ExperimentScal
             name=f"{model_name}-mini",
         )
     raise ValueError(f"unknown model {model_name!r}")
+
+
+def reduced_learning_rate(model_name: str) -> float:
+    """The SGD step size every harness trains a reduced model with.
+
+    The Conv-ReLU families without batch norm (AlexNet, VGG) need the
+    smaller step; the batch-normalised ResNet and MobileNet families train
+    at 0.05.
+    """
+    return 0.01 if model_family(model_name) in ("AlexNet", "VGG") else 0.05
 
 
 def training_rng(scale: ExperimentScale, *context) -> np.random.Generator:

@@ -14,11 +14,11 @@ The harness executes as a registered :mod:`repro.api` pipeline
    per-stage cache hook.
 2. ``profile`` — assign the measured densities to the paper's exact
    AlexNet/ResNet-18/34 layer geometries by relative depth.
-3. ``compile`` — lower each workload into a picklable
+3. ``compile`` — lower each workload into a
    :class:`~repro.sim.runner.WorkloadJob` (program compilation itself runs
-   inside the simulate workers so it parallelises with them).
+   in the simulate stage, one workload at a time).
 4. ``simulate`` — run SparseTrain and the dense baseline (168 PEs, 386 KB
-   buffer each) on every job through the shared worker-pool
+   buffer each) on every job, in process, through the pipeline's
    :class:`~repro.api.runner.Runner`, at every fidelity.
 5. ``report`` — per-sample latency and speedup tables.
 """
@@ -34,7 +34,6 @@ from repro.api import (
     ExperimentRequest,
     Pipeline,
     PipelineContext,
-    RunOptions,
     Stage,
     get_experiment,
     register_experiment,
@@ -42,7 +41,12 @@ from repro.api import (
 from repro.arch.config import ArchConfig
 from repro.arch.energy import EnergyModel
 from repro.dataflow.counts import LayerDensities
-from repro.eval.common import ExperimentScale, build_reduced_model, synthetic_dataset_for
+from repro.eval.common import (
+    ExperimentScale,
+    build_reduced_model,
+    reduced_learning_rate,
+    synthetic_dataset_for,
+)
 from repro.eval.density_cache import (
     density_cache_key,
     deserialize_measured,
@@ -142,15 +146,13 @@ def _measure_densities_uncached(
         if pruning_rate > 0.0
         else None
     )
-    # Conv-ReLU families (no batch norm) train with the smaller step size.
-    lr = 0.01 if model_family(model_name) in ("AlexNet", "VGG") else 0.05
     return profile_training_densities(
         model,
         train,
         pruning=pruning,
         epochs=scale.epochs,
         batch_size=scale.batch_size,
-        lr=lr,
+        lr=reduced_learning_rate(model_name),
         seed=scale.seed,
     )
 
@@ -279,7 +281,7 @@ def profile_stage(ctx: PipelineContext) -> dict[tuple[str, str], dict[str, Layer
 
 
 def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
-    """``compile`` — lower every workload into a picklable simulation job."""
+    """``compile`` — lower every workload into a simulation job."""
     densities_by_workload = ctx["profile"]
     extras = ctx.extras
     return [
@@ -295,7 +297,7 @@ def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
 
 
 def simulate_stage(ctx: PipelineContext) -> list[WorkloadResult]:
-    """``simulate`` — both architectures per job through the shared runner.
+    """``simulate`` — both architectures per job, mapped in process.
 
     Shared by fig8 and fig9.  Every fidelity runs this one path: the
     instruction-stream walk yields the per-(layer, step) results the fig9
@@ -359,7 +361,6 @@ def run_fig8(
     energy_model: EnergyModel | None = None,
     measured: dict[str, MeasuredDensities] | None = None,
     density_cache: ResultCache | None = None,
-    max_workers: int | None = None,
 ) -> Fig8Result:
     """Regenerate the Fig. 8 latency/speedup comparison.
 
@@ -367,10 +368,7 @@ def run_fig8(
     ``measured`` can be passed to reuse density measurements across calls
     (e.g. Fig. 9 reuses Fig. 8's measurements); otherwise one reduced model
     per family is trained and profiled by the ``train`` stage (memoized on
-    disk when ``density_cache`` is given).  ``max_workers`` fans the
-    per-workload simulations out over worker processes through the shared
-    :class:`~repro.api.runner.Runner`; the default runs serially with
-    identical results.
+    disk when ``density_cache`` is given).
     """
     request = ExperimentRequest(
         experiment="fig8",
@@ -380,7 +378,6 @@ def run_fig8(
     )
     result = get_experiment("fig8").run(
         request,
-        options=RunOptions(max_workers=max_workers),
         extras={
             "measured": measured,
             "density_cache": density_cache,

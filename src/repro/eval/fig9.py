@@ -25,7 +25,6 @@ from repro.api import (
     ExperimentRequest,
     Pipeline,
     PipelineContext,
-    RunOptions,
     Stage,
     get_experiment,
     register_experiment,
@@ -140,7 +139,6 @@ def run_fig9(
     measured: dict[str, MeasuredDensities] | None = None,
     fig8_result: Fig8Result | None = None,
     density_cache: ResultCache | None = None,
-    max_workers: int | None = None,
 ) -> Fig9Result:
     """Regenerate the Fig. 9 energy comparison.
 
@@ -159,7 +157,6 @@ def run_fig9(
     )
     result = get_experiment("fig9").run(
         request,
-        options=RunOptions(max_workers=max_workers),
         extras={
             "measured": measured,
             "density_cache": density_cache,

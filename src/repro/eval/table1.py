@@ -40,6 +40,7 @@ from repro.api import (
 from repro.eval.common import (
     ExperimentScale,
     build_reduced_model,
+    reduced_learning_rate,
     synthetic_dataset_for,
     training_rng,
 )
@@ -113,9 +114,10 @@ def _train_stage(ctx: PipelineContext) -> dict:
 
         conv.register_forward_hook(output_hook)
 
-    learning_rate = 0.01 if model_name.lower() == "alexnet" else 0.05
     trainer = Trainer(
-        model, SGD(model.parameters(), lr=learning_rate, momentum=0.9), callbacks=callbacks
+        model,
+        SGD(model.parameters(), lr=reduced_learning_rate(model_name), momentum=0.9),
+        callbacks=callbacks,
     )
     trainer.fit(
         train.images,

@@ -35,6 +35,7 @@ from repro.api import (
 from repro.eval.common import (
     ExperimentScale,
     build_reduced_model,
+    reduced_learning_rate,
     synthetic_dataset_for,
     training_rng,
 )
@@ -136,11 +137,6 @@ class Table2Result:
         return "\n".join(lines)
 
 
-def _learning_rate_for(model_name: str) -> float:
-    """Reduced-model learning rate (AlexNet has no BN and needs a gentler lr)."""
-    return 0.01 if model_name.lower() == "alexnet" else 0.05
-
-
 def train_one_cell(
     model_name: str,
     dataset_name: str,
@@ -164,7 +160,7 @@ def train_one_cell(
 
     trainer = Trainer(
         model,
-        SGD(model.parameters(), lr=_learning_rate_for(model_name), momentum=0.9, weight_decay=5e-4),
+        SGD(model.parameters(), lr=reduced_learning_rate(model_name), momentum=0.9, weight_decay=5e-4),
         callbacks=callbacks,
     )
     history = trainer.fit(
@@ -199,7 +195,7 @@ def train_one_cell(
 def _train_cell_job(
     job: tuple[str, str, float | None, ExperimentScale],
 ) -> Table2Cell:
-    """Picklable unit of work for the grid fan-out (one cell per worker)."""
+    """One cell of the grid, as a unit of work for ``ctx.runner.map``."""
     model_name, dataset_name, rate, scale = job
     return train_one_cell(model_name, dataset_name, rate, scale)
 
@@ -207,9 +203,9 @@ def _train_cell_job(
 def _train_stage(ctx: PipelineContext) -> list[Table2Cell]:
     """``train`` — one training run per (model, dataset, pruning-rate) cell.
 
-    Cells fan out over the pipeline's shared Runner (``--workers N`` routes
-    here through :class:`RunOptions`); every cell seeds its own training RNG,
-    so serial and parallel grids are bit-identical.
+    Cells are mapped in process through the pipeline's Runner, one after
+    another; every cell seeds its own training RNG, so a cell's numbers do
+    not depend on the rest of the grid.
     """
     request = ctx.request
     models = request.param("models", ["AlexNet", "ResNet-18"])

@@ -149,9 +149,9 @@ class DesignPoint:
             overrides=tuple(sorted(arch.items())),
             energy_overrides=tuple(sorted((energy_overrides or {}).items())),
         )
-        # Fail at construction time (in the driver) rather than inside a
-        # worker: invalid combinations such as a PE count that is not a
-        # multiple of the group size raise here.
+        # Fail at construction time rather than mid-evaluation: invalid
+        # combinations such as a PE count that is not a multiple of the
+        # group size raise here.
         point.sparse_config()
         return point
 

@@ -52,11 +52,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     telemetry = ProcessTelemetry(args.db, worker_id=frontend_id).start()
 
     store = JobStore(args.db)
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
+    options = RunOptions(use_cache=not args.no_cache, cache_dir=args.cache_dir)
     # With a worker fleet the supervisor process runs front-end only
     # (concurrency=0): execution, reaping and retries belong to the worker
     # processes; the scheduler recovers the store and accepts submissions.
@@ -99,7 +95,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             lease_ttl=args.lease_ttl,
             cache_dir=args.cache_dir,
             no_cache=args.no_cache,
-            job_workers=args.workers,
             quarantine_after=args.requeue_cap,
             retry_delay=args.retry_delay,
         )
@@ -125,9 +120,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         else f"concurrency={args.concurrency}"
     )
     service_log(
-        f"repro serve: listening on {server.url} "
-        f"(db={args.db}, {execution}, "
-        f"workers={args.workers or 'serial'})"
+        f"repro serve: listening on {server.url} (db={args.db}, {execution})"
     )
     if recovered:
         service_log(
@@ -185,11 +178,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     telemetry = ProcessTelemetry(args.db, worker_id=worker_id).start()
 
     store = JobStore(args.db)
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
+    options = RunOptions(use_cache=not args.no_cache, cache_dir=args.cache_dir)
     worker = Worker(
         store,
         options=options,
@@ -569,10 +558,6 @@ def register_serve_commands(
         help="jobs executed at once (default: %(default)s)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes per job's fan-out stages (default: serial)",
-    )
-    serve.add_argument(
         "--retry-delay", type=float, default=0.5, metavar="SECONDS",
         help="base delay of the exponential retry backoff (default: %(default)s)",
     )
@@ -632,10 +617,6 @@ def register_serve_commands(
     worker.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECONDS",
         help="idle sleep between queue checks (default: %(default)s)",
-    )
-    worker.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes per job's fan-out stages (default: serial)",
     )
     worker.add_argument(
         "--retry-delay", type=float, default=0.5, metavar="SECONDS",

@@ -355,6 +355,7 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.server
         scheduler = server.scheduler
         supervisor = server.supervisor
+        workers = server.store.list_workers()
         return {
             "ok": True,
             "version": repro.__version__,
@@ -363,14 +364,14 @@ class _Handler(BaseHTTPRequestHandler):
             "scheduler": {
                 "concurrency": scheduler.concurrency,
                 "running": scheduler.running,
-                "workers_alive": scheduler.workers_alive,
+                "workers_alive": len(workers),
                 "last_dequeue_at": scheduler.last_dequeue_at,
                 "lease_ttl": scheduler.lease_ttl,
                 "threads": scheduler.worker_liveness(),
             },
             # Every registered worker (in-process threads and external
             # ``repro worker`` processes alike) with heartbeat age + lease.
-            "workers": server.store.list_workers(),
+            "workers": workers,
             "fleet": (
                 {
                     "size": supervisor.count,
@@ -438,7 +439,7 @@ class _Handler(BaseHTTPRequestHandler):
             },
             "scheduler": {
                 "concurrency": scheduler.concurrency,
-                "workers_alive": scheduler.workers_alive,
+                "workers_alive": len(server.store.list_workers()),
                 "last_dequeue_at": scheduler.last_dequeue_at,
                 "queue_wait": dict(queue_wait[0]) if queue_wait else None,
             },
@@ -462,7 +463,7 @@ class _Handler(BaseHTTPRequestHandler):
             time.time() - self.server.started_at
         )
         registry.gauge("serve.workers_alive").set(
-            self.server.scheduler.workers_alive
+            len(self.server.store.list_workers())
         )
         if self.server.supervisor is not None:
             registry.gauge("serve.fleet_alive").set(self.server.supervisor.alive)

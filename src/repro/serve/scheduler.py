@@ -16,7 +16,10 @@ What the scheduler adds on top of its workers:
 * **graceful drain** — :meth:`stop` lets every claimed job finish
   (pipelines are not interrupted mid-stage), then joins the threads; jobs
   still queued stay queued in the store and survive to the next start.
-* **liveness** — ``/healthz`` reads per-thread state from its workers.
+* **liveness** — ``/healthz`` reads per-thread state (last dequeue,
+  current job) from its workers.  How many workers are alive is read from
+  the store's worker registry instead, which both modes keep: a worker
+  registers when its loop starts and deregisters on exit.
 
 With ``concurrency=0`` the scheduler runs *front-end only*: it recovers and
 accepts submissions, while execution belongs entirely to worker processes
@@ -52,14 +55,12 @@ class Scheduler:
         The persistent job store (shared with the HTTP API and any external
         ``repro worker`` processes).
     options:
-        The :class:`RunOptions` every job executes with — worker-pool size
-        for fan-out stages and the disk-cache location the pipelines
-        short-circuit to.
+        The :class:`RunOptions` every job executes with — the disk-cache
+        location the pipelines short-circuit to.
     concurrency:
-        How many jobs run at once (worker threads; each job may additionally
-        fan out over worker *processes* through its pipeline's Runner).
-        ``0`` runs no local execution at all — execution is left to
-        external workers.
+        How many jobs run at once (worker threads; a job's experiment runs
+        on the thread that claimed it).  ``0`` runs no local execution at
+        all — execution is left to external workers.
     retry_base_delay / retry_max_delay:
         Exponential-backoff parameters for failed executions.
     poll_interval:
@@ -180,11 +181,6 @@ class Scheduler:
         if not self._threads:  # front-end-only mode: alive once started
             return True
         return any(t.is_alive() for t in self._threads)
-
-    @property
-    def workers_alive(self) -> int:
-        """How many worker threads are currently alive (liveness probe)."""
-        return sum(1 for t in self._threads if t.is_alive())
 
     @property
     def last_dequeue_at(self) -> float | None:

@@ -246,15 +246,6 @@ class Job:
         return self.id[:12]
 
     @property
-    def is_terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    @property
-    def is_inactive(self) -> bool:
-        """Terminal or quarantined — the job will not run again by itself."""
-        return self.state in INACTIVE_STATES
-
-    @property
     def executions_this_incarnation(self) -> int:
         """Executions since the job was last (re)submitted from a terminal
         state — the count the retry budget is measured against."""

@@ -10,7 +10,9 @@ workers over a durable message seam" shape, with SQLite as the seam.
 
 Capacity therefore scales by *adding worker processes* (more supervisors on
 more machines pointed at one database work too), never by piling threads
-into the front-end process.
+into the front-end process.  The fleet is the reproduction's only way to
+run work in parallel processes: each worker runs one job at a time, and
+the job's experiment runs inside that worker process.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ class WorkerSupervisor:
         Fleet size (worker processes).
     lease_ttl / heartbeat_interval:
         Lease parameters forwarded to every worker.
-    cache_dir / no_cache / job_workers:
-        Pipeline execution options forwarded to every worker
-        (``job_workers`` is each job's *inner* fan-out pool size).
+    cache_dir / no_cache:
+        Pipeline cache options forwarded to every worker.
     respawn_delay:
         Pause before restarting a dead worker (dampens crash loops).
     monitor_interval:
@@ -87,7 +88,6 @@ class WorkerSupervisor:
         heartbeat_interval: float | None = None,
         cache_dir: str | None = None,
         no_cache: bool = False,
-        job_workers: int | None = None,
         respawn_delay: float = 1.0,
         monitor_interval: float = 0.5,
         quarantine_after: int | None = None,
@@ -102,7 +102,6 @@ class WorkerSupervisor:
         self.heartbeat_interval = heartbeat_interval
         self.cache_dir = cache_dir
         self.no_cache = no_cache
-        self.job_workers = job_workers
         self.respawn_delay = respawn_delay
         self.monitor_interval = monitor_interval
         self.quarantine_after = quarantine_after
@@ -134,8 +133,6 @@ class WorkerSupervisor:
             command += ["--cache-dir", self.cache_dir]
         if self.no_cache:
             command += ["--no-cache"]
-        if self.job_workers is not None:
-            command += ["--workers", str(self.job_workers)]
         if self.quarantine_after is not None:
             command += ["--requeue-cap", str(self.quarantine_after)]
         if self.retry_delay is not None:

@@ -88,14 +88,14 @@ def compare_workload(
 
 
 # ---------------------------------------------------------------------------
-# Work units for ``Runner`` fan-out
+# Work units for the pipelines' ``Runner``
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WorkloadJob:
-    """One ``compare_workload`` invocation, packaged so batches can be
-    shipped to worker processes (every field is picklable); fig8/fig9 and
-    bench map :func:`_run_job` over them with ``ctx.runner.map``."""
+    """One ``compare_workload`` invocation, packaged as a unit of work:
+    fig8/fig9 and bench map :func:`_run_job` over a list of them with
+    ``ctx.runner.map``, in process."""
 
     spec: ModelSpec
     densities: dict[str, LayerDensities]

@@ -125,7 +125,7 @@ class TestTierEquivalence:
                     },
                     fidelity=fidelity,
                 ),
-                options=RunOptions(use_cache=False, parallel=False),
+                options=RunOptions(use_cache=False),
             )
 
         return {tier: run(tier) for tier in ("vectorized", "scalar", "analytic")}

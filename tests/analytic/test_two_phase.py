@@ -72,7 +72,7 @@ class TestGridFastPath:
         # ``sample`` has seeded-subset semantics the grid plan cannot honour.
         result = run_experiment(
             _sweep_request(sample=5, seed=1),
-            options=RunOptions(use_cache=False, parallel=False),
+            options=RunOptions(use_cache=False),
         )
         assert len(result.native["records"]) == 10  # 5 sampled x 2 workloads
         for record in result.native["records"]:
@@ -85,7 +85,7 @@ class TestGridFastPath:
         with pytest.raises(ValueError, match="duplicate values"):
             run_experiment(
                 _sweep_request(pes=[84, 84, 168]),
-                options=RunOptions(use_cache=False, parallel=False),
+                options=RunOptions(use_cache=False),
             )
 
 
@@ -93,7 +93,7 @@ class TestAnalyticSweepWithoutResim:
     def test_no_band_by_default(self):
         result = run_experiment(
             _sweep_request(),
-            options=RunOptions(use_cache=False, parallel=False),
+            options=RunOptions(use_cache=False),
         )
         assert "resimulated" not in result.native
         assert "resimulated" not in result.payload
@@ -103,7 +103,7 @@ class TestAnalyticSweepWithoutResim:
         # mode was removed loads and runs, and simply gets no band.
         result = run_experiment(
             _sweep_request(resim_pareto=True),
-            options=RunOptions(use_cache=False, parallel=False),
+            options=RunOptions(use_cache=False),
         )
         assert len(result.native["records"]) == 24
         assert "resimulated" not in result.payload
@@ -111,7 +111,7 @@ class TestAnalyticSweepWithoutResim:
     def test_payload_record_cap(self):
         result = run_experiment(
             _sweep_request(max_records=5),
-            options=RunOptions(use_cache=False, parallel=False),
+            options=RunOptions(use_cache=False),
         )
         assert len(result.native["records"]) == 24
         assert len(result.payload["records"]) == 5
@@ -122,7 +122,7 @@ class TestAnalyticSweepWithoutResim:
         assert kept == sorted(kept)
 
     def test_analytic_records_not_written_to_sweep_cache(self, tmp_path):
-        options = RunOptions(use_cache=True, cache_dir=tmp_path, parallel=False)
+        options = RunOptions(use_cache=True, cache_dir=tmp_path)
         run_experiment(_sweep_request(), options=options)
         cache = options.sweep_cache()
         assert len(cache) == 0
@@ -143,7 +143,7 @@ class TestAnalyticSweepWithoutResim:
         )
         start = time.perf_counter()
         result = run_experiment(
-            request, options=RunOptions(use_cache=False, parallel=False)
+            request, options=RunOptions(use_cache=False)
         )
         elapsed = time.perf_counter() - start
         assert len(result.native["records"]) == 40 * 6 * 10

@@ -20,7 +20,7 @@ def _run_validate(**params):
             scale=ExperimentScale.smoke(),
             params=params,
         ),
-        options=RunOptions(use_cache=False, parallel=False),
+        options=RunOptions(use_cache=False),
     )
 
 

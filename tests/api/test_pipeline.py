@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import warnings
+
 import pytest
 
 from repro.api import (
@@ -11,6 +15,7 @@ from repro.api import (
     Pipeline,
     PipelineContext,
     Registry,
+    RunOptions,
     Runner,
     Stage,
     UnknownNameError,
@@ -141,36 +146,100 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _pid_and_square(x: int) -> tuple[int, int]:
+    return os.getpid(), x * x
+
+
+def _maps_in_process(runner: Runner) -> bool:
+    """The runner maps in input order, in this process."""
+    return runner.map(_pid_and_square, [3, 1, 2]) == [
+        (os.getpid(), 9), (os.getpid(), 1), (os.getpid(), 4)
+    ]
+
+
+@contextlib.contextmanager
+def _one_deprecation():
+    """Exactly one DeprecationWarning, naming 2.0 and the fleet, raised at
+    the caller's line in this file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+    assert len(deprecations) == 1, [str(w.message) for w in caught]
+    message = str(deprecations[0].message)
+    assert "next major release (2.0)" in message
+    assert "repro serve --fleet N" in message
+    assert deprecations[0].filename == __file__
+
+
+def _probe_experiment() -> Experiment:
+    """An unregistered experiment whose simulate stage maps through the
+    pipeline's runner."""
+    return Experiment(
+        name="probe",
+        build=lambda request: Pipeline(
+            "probe",
+            [
+                Stage("simulate", lambda ctx: ctx.runner.map(_pid_and_square, [3, 1, 2])),
+                Stage(
+                    "report",
+                    lambda ctx: ExperimentReport({"mapped": ctx["simulate"]}, ""),
+                ),
+            ],
+        ),
+    )
+
+
 class TestRunner:
     def test_serial_map_preserves_order(self):
-        assert Runner(parallel=False).map(_square, [3, 1, 2]) == [9, 1, 4]
+        assert Runner().map(_square, [3, 1, 2]) == [9, 1, 4]
+        assert _maps_in_process(Runner())
 
     def test_parallel_matches_serial(self):
-        items = list(range(8))
-        serial = Runner(parallel=False).map(_square, items)
-        parallel = Runner(max_workers=2, parallel=True).map(_square, items)
-        assert parallel == serial
+        # The deprecated pool size still works: it maps in process.
+        with _one_deprecation():
+            runner = Runner(max_workers=2)
+        assert _maps_in_process(runner)
 
     def test_single_item_stays_serial(self):
-        assert Runner(max_workers=4).map(_square, [5]) == [25]
+        assert Runner().map(_square, [5]) == [25]
 
     def test_empty_batch(self):
-        assert Runner(parallel=False).map(_square, []) == []
-        assert Runner(max_workers=2, parallel=True).map(_square, []) == []
+        assert Runner().map(_square, []) == []
 
     def test_default_runner_semantics(self):
-        assert default_runner(None).parallel is False
-        assert default_runner(1).parallel is False
-        assert default_runner(4).parallel is True
+        with _one_deprecation():
+            runner = default_runner(4)
+        assert _maps_in_process(runner)
 
     def test_default_runner_parallel_override(self):
-        # RunOptions(parallel=False) must force serial even with workers set.
-        assert default_runner(4, parallel=False).parallel is False
-        assert default_runner(None, parallel=True).parallel is True
+        for kwargs in ({"max_workers": 4, "parallel": False}, {"parallel": True}):
+            with _one_deprecation():
+                runner = default_runner(**kwargs)
+            assert _maps_in_process(runner)
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            Runner(max_workers=0)
+    def test_runner_parallel_switch_is_deprecated(self):
+        with _one_deprecation():
+            runner = Runner(parallel=False)
+        assert _maps_in_process(runner)
+
+    @pytest.mark.parametrize("knob", [{"max_workers": 2}, {"parallel": False}])
+    def test_run_options_worker_knobs_are_deprecated(self, knob):
+        with _one_deprecation():
+            options = RunOptions(use_cache=False, **knob)
+        result = _probe_experiment().run(ExperimentRequest(experiment="probe"), options)
+        pid = os.getpid()
+        assert result.payload["mapped"] == [(pid, 9), (pid, 1), (pid, 4)]
+
+    def test_defaults_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "error", "will be removed in the next major release", DeprecationWarning
+            )
+            Runner()
+            RunOptions()
+            PipelineContext(request=_request())
+            _probe_experiment().run(ExperimentRequest(experiment="probe"))
 
 
 class TestRegistry:

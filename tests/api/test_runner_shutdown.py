@@ -1,16 +1,12 @@
-"""Regression tests: interrupted Runner fan-outs must not orphan workers.
+"""Regression tests: an interrupted Runner map keeps what it delivered.
 
-A KeyboardInterrupt (or SIGTERM surfacing as SystemExit) during a pool
-fan-out used to leave the executor's workers computing the rest of the batch
-while the parent unwound.  The hardened path cancels queued futures,
-terminates and joins the workers, and surfaces the results delivered before
-the interrupt through ``Runner.map(..., partial=...)``.
+A KeyboardInterrupt (or SIGTERM surfacing as SystemExit) or a task
+exception propagates at once, and ``Runner.map(..., partial=...)`` keeps
+the results delivered before it.  The map is a lazy stream: a caller that
+abandons it runs no further tasks.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import time
 
 import pytest
 
@@ -18,7 +14,7 @@ from repro.api.runner import Runner
 
 
 def _double_or_interrupt(item: int) -> int:
-    """Picklable worker: negative items simulate Ctrl-C arriving mid-batch."""
+    """Negative items simulate Ctrl-C arriving mid-batch."""
     if item < 0:
         raise KeyboardInterrupt
     return item * 2
@@ -26,57 +22,41 @@ def _double_or_interrupt(item: int) -> int:
 
 def _double_or_fail(item: int) -> int:
     if item < 0:
-        raise ValueError(f"worker failed on {item}")
+        raise ValueError(f"task failed on {item}")
     return item * 2
-
-
-def _assert_no_orphaned_children(timeout: float = 10.0) -> None:
-    """Every multiprocessing child must exit within ``timeout`` seconds."""
-    deadline = time.monotonic() + timeout
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
 
 
 class TestSerialInterrupt:
     def test_interrupt_propagates_with_partial_results(self):
-        runner = Runner(parallel=False)
+        runner = Runner()
         partial: list[int] = []
         with pytest.raises(KeyboardInterrupt):
             runner.map(_double_or_interrupt, [1, 2, -1, 4], partial=partial)
         assert partial == [2, 4]
 
     def test_partial_list_is_returned_on_success(self):
-        runner = Runner(parallel=False)
+        runner = Runner()
         partial: list[int] = []
         result = runner.map(_double_or_interrupt, [1, 2], partial=partial)
         assert result is partial
         assert partial == [2, 4]
 
-
-class TestPoolInterrupt:
-    """Pool-path interrupts.  Where spawning processes is forbidden the
-    Runner falls back to the serial path, which satisfies the same
-    contract — the assertions hold either way."""
-
-    def test_interrupt_terminates_workers(self):
-        runner = Runner(max_workers=2)
-        with pytest.raises(KeyboardInterrupt):
-            runner.map(_double_or_interrupt, [-1] * 8)
-        _assert_no_orphaned_children()
-
-    def test_worker_exception_terminates_workers(self):
-        runner = Runner(max_workers=2)
+    def test_task_exception_keeps_partial_results(self):
+        runner = Runner()
         partial: list[int] = []
-        with pytest.raises(ValueError, match="worker failed"):
+        with pytest.raises(ValueError, match="task failed"):
             runner.map(_double_or_fail, [1, 2, -3, 4], partial=partial)
         # Order-preserving map: everything before the failing item arrived.
         assert partial == [2, 4]
-        _assert_no_orphaned_children()
 
-    def test_abandoned_generator_cleans_up(self):
-        runner = Runner(max_workers=2)
-        stream = runner.imap(_double_or_interrupt, list(range(64)))
+    def test_abandoned_stream_runs_no_further_tasks(self):
+        started: list[int] = []
+
+        def record(item: int) -> int:
+            started.append(item)
+            return item * 2
+
+        stream = Runner().imap(record, list(range(64)))
         assert next(stream) == 0
-        stream.close()  # GeneratorExit inside imap must tear the pool down
-        _assert_no_orphaned_children()
+        stream.close()
+        assert started == [0]

@@ -51,6 +51,46 @@ class TestCommon:
             build_reduced_model("LeNet", 4, TINY)
 
 
+class _LearningRateSeen(Exception):
+    """Stops a harness at the moment it hands its optimizer a step size."""
+
+
+def _learning_rate_of(monkeypatch, module, name: str, run) -> float:
+    """The ``lr`` a harness passes to ``module.<name>``; training never runs."""
+    seen = []
+
+    def record(*args, lr, **kwargs):
+        seen.append(lr)
+        raise _LearningRateSeen
+
+    monkeypatch.setattr(module, name, record)
+    with pytest.raises(_LearningRateSeen):
+        run()
+    return seen[0]
+
+
+class TestReducedLearningRate:
+    @pytest.mark.parametrize("model, lr", [("VGG-16", 0.01), ("ResNet-18", 0.05)])
+    def test_every_harness_trains_at_the_family_rate(self, monkeypatch, model, lr):
+        # Conv-ReLU families without batch norm (AlexNet, VGG) need the
+        # smaller step; table1, table2 and fig8 share one rule.
+        import repro.eval.fig8 as fig8
+        import repro.eval.table1 as table1
+        import repro.eval.table2 as table2
+
+        assert _learning_rate_of(
+            monkeypatch, table1, "SGD", lambda: run_table1(model, scale=TINY)
+        ) == lr
+        assert _learning_rate_of(
+            monkeypatch, table2, "SGD",
+            lambda: train_one_cell(model, "CIFAR-10", 0.9, TINY),
+        ) == lr
+        assert _learning_rate_of(
+            monkeypatch, fig8, "profile_training_densities",
+            lambda: fig8._measure_densities_uncached(model, 0.9, TINY),
+        ) == lr
+
+
 class TestTable1:
     def test_resnet_matches_paper_classification(self):
         result = run_table1("ResNet-18", pruning_rate=0.9, scale=TINY)

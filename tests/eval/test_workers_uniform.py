@@ -1,14 +1,14 @@
-"""``--workers N`` must route through RunOptions for *every* experiment.
+"""The deprecated worker-count option keeps working for every experiment.
 
-Historically only fig8/fig9 consumed ``RunOptions.max_workers``; the table2
-grid trained serially no matter what the caller asked for.  These tests pin
-the uniform contract: parallel and serial runs of the same request are
-identical (every unit of work seeds its own RNG).  The ablation sweeps start
-no workers (the engine evaluates on numpy columns), so for them the contract
-is only that the option is accepted and changes nothing.
+``RunOptions(max_workers=N)`` used to size a process pool behind the
+pipeline's Runner.  Experiments now run in the calling process, so the
+option warns once and changes nothing: a run with it equals a run without
+it (every unit of work seeds its own RNG).
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.api import ExperimentRequest, RunOptions, run_experiment
 from repro.eval.common import ExperimentScale
@@ -20,10 +20,12 @@ def _run(experiment: str, params: dict, max_workers: int | None):
     request = ExperimentRequest(
         experiment=experiment, scale=SMOKE, params=params
     )
-    return run_experiment(
-        request,
-        options=RunOptions(max_workers=max_workers, use_cache=False),
-    )
+    if max_workers is None:
+        options = RunOptions(use_cache=False)
+    else:
+        with pytest.warns(DeprecationWarning, match="repro serve --fleet N"):
+            options = RunOptions(max_workers=max_workers, use_cache=False)
+    return run_experiment(request, options=options)
 
 
 class TestTable2Workers:

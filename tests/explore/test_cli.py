@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -177,18 +181,31 @@ class TestParserWiring:
             namespace = parser.parse_args(args)
             assert callable(namespace.func)
 
-    def test_fig_commands_accept_workers_and_cache_flags(self):
+    def test_fig_commands_accept_cache_flags(self):
         parser = build_parser()
         for command in ("fig8", "fig9"):
             namespace = parser.parse_args(
-                [command, "--workers", "4", "--no-cache", "--cache-dir", "/tmp/c"]
+                [command, "--no-cache", "--cache-dir", "/tmp/c"]
             )
-            assert namespace.workers == 4
             assert namespace.no_cache is True
             assert namespace.cache_dir == "/tmp/c"
-        # Default: caching on, serial simulation.
-        namespace = parser.parse_args(["fig8"])
-        assert namespace.workers is None and namespace.no_cache is False
+        # Default: caching on.
+        assert parser.parse_args(["fig8"]).no_cache is False
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "fig8"], ["trace", "fig8"], ["fig8"], ["fig9"], ["serve"], ["worker"]],
+        ids=lambda args: args[0],
+    )
+    def test_workers_flag_is_gone(self, args, capsys):
+        # Experiments run in process; `repro serve --fleet N` is the only
+        # way to run work in parallel, so there is no pool to size.
+        parser = build_parser()
+        parser.parse_args(args)
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(args + ["--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--serial", "--jobs=2", "--resim-pareto"])
     def test_sweep_flags_of_the_removed_pool_are_gone(self, flag, capsys):
@@ -201,3 +218,24 @@ class TestParserWiring:
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestOneProcessModel:
+    def test_cli_import_loads_no_process_pool(self):
+        # Experiments run in the calling process, so nothing on the CLI's
+        # import path needs a process pool.
+        script = (
+            "import sys, repro.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -69,7 +69,7 @@ class TestPipelineInstrumentation:
 
 class TestRunnerInstrumentation:
     def test_serial_batch_counts_submitted_and_completed(self):
-        runner = Runner(parallel=False)
+        runner = Runner()
         submitted = _counter("runner.tasks.submitted")
         completed = _counter("runner.tasks.completed")
         wait_count = _hist_count("runner.task.queue_wait_seconds")
@@ -83,7 +83,7 @@ class TestRunnerInstrumentation:
         assert _hist_count("runner.task.exec_seconds") == exec_count + 3
 
     def test_failed_task_counts_failure_and_cancellations(self):
-        runner = Runner(parallel=False)
+        runner = Runner()
         failed = _counter("runner.tasks.failed")
         cancelled = _counter("runner.tasks.cancelled")
 
@@ -142,7 +142,7 @@ class TestColdWarmFig8:
             scale=SMOKE,
             workloads=(("AlexNet", "CIFAR-10"),),
         )
-        options = RunOptions(cache_dir=tmp_path, parallel=False)
+        options = RunOptions(cache_dir=tmp_path)
 
         hits0 = _counter("cache.hits", cache="densities")
         misses0 = _counter("cache.misses", cache="densities")

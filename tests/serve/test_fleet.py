@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentRequest, ExperimentResult
+from repro.cli import build_parser
 from repro.serve.store import DONE, JobStore, QUEUED, RUNNING
 from repro.serve.supervisor import WorkerSupervisor
 from repro.serve.worker import Worker
@@ -222,6 +223,17 @@ class TestSupervisor:
         assert "--retry-delay" not in WorkerSupervisor(
             tmp_path / "s.db", count=1
         )._command()
+
+    def test_worker_command_parses_and_sizes_no_pool(self, tmp_path):
+        """Every flag the supervisor forwards is one `repro worker` accepts,
+        and none sizes a process pool: a job runs inside its worker."""
+        command = WorkerSupervisor(
+            tmp_path / "s.db", count=1, heartbeat_interval=1.0, cache_dir="c",
+            no_cache=True, quarantine_after=2, retry_delay=0.5,
+        )._command()
+        assert "--workers" not in command
+        args = build_parser().parse_args(command[command.index("worker"):])
+        assert (args.command, args.no_cache, args.requeue_cap) == ("worker", True, 2)
 
     def test_fleet_spawns_registers_and_respawns(self, tmp_path):
         db = tmp_path / "super.db"

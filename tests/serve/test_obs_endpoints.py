@@ -109,6 +109,15 @@ class _Service:
         self.store.close()
 
 
+def _wait_for_workers(client: ServeClient, count: int, timeout: float = 10.0) -> None:
+    """Block until ``count`` workers have registered in the store (a worker
+    registers when its loop starts, on its own thread)."""
+    deadline = time.monotonic() + timeout
+    while len(client.health()["workers"]) < count:
+        assert time.monotonic() < deadline, "workers never registered"
+        time.sleep(0.01)
+
+
 @pytest.fixture
 def idle(tmp_path):
     service = _Service(tmp_path, execute=StageExecutor(), start=False)
@@ -131,8 +140,9 @@ class TestHealthz:
 
         assert health["version"] == repro.__version__
         assert health["uptime_s"] >= 0
-        sched = health["scheduler"]
-        assert sched["running"] is True
+        assert health["scheduler"]["running"] is True
+        _wait_for_workers(running.client, 1)
+        sched = running.client.health()["scheduler"]
         assert sched["workers_alive"] == 1
         assert sched["last_dequeue_at"] is None  # nothing claimed yet
 
@@ -143,6 +153,20 @@ class TestHealthz:
         sched = running.client.health()["scheduler"]
         assert sched["last_dequeue_at"] is not None
         assert sched["last_dequeue_at"] >= before
+
+
+class TestWorkersAlive:
+    def test_registered_worker_counts_in_both_modes(self, tmp_path, mode):
+        # In fleet mode the front end runs no worker threads of its own;
+        # the count comes from the store's worker registry either way.
+        service = _Service(tmp_path, execute=StageExecutor(), mode=mode)
+        try:
+            _wait_for_workers(service.client, 1)
+            assert service.client.stats()["scheduler"]["workers_alive"] == 1
+            assert service.client.health()["scheduler"]["workers_alive"] == 1
+            assert "repro_serve_workers_alive 1" in service.client.metrics_text()
+        finally:
+            service.close()
 
 
 class TestStats:
