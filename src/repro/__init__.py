@@ -12,8 +12,9 @@ substrate they depend on:
   specifications to accelerator instruction streams, and closed-form operation
   counts.
 * :mod:`repro.arch` — the sparse-aware accelerator (PE, PPU, PE groups,
-  global buffer, DRAM, controller) with cycle and energy models, plus
-  :mod:`repro.baselines` for the dense Eyeriss-like comparison point.
+  global buffer, DRAM, controller) with cycle and energy models; its
+  ``dense_baseline_config`` is the dense Eyeriss-like comparison point,
+  simulated by :func:`repro.sim.simulate_baseline`.
 * :mod:`repro.nn`, :mod:`repro.data`, :mod:`repro.models` — the numpy CNN
   training framework, synthetic datasets and the AlexNet/ResNet model zoo the
   algorithm experiments run on.
@@ -33,7 +34,6 @@ __version__ = "1.3.0"
 from repro import (
     api,
     arch,
-    baselines,
     data,
     dataflow,
     explore,
@@ -57,7 +57,6 @@ __all__ = [
     "sparsity",
     "dataflow",
     "arch",
-    "baselines",
     "sim",
     "explore",
     "utils",

@@ -309,6 +309,9 @@ class RunOptions:
         Enable the persistent per-stage disk caches.
     cache_dir:
         Directory holding the density and sweep caches.
+
+    These two fields are the only cache switch: every pipeline resolves its
+    stores through :meth:`density_cache` and :meth:`sweep_cache`.
     """
 
     max_workers: int | None = None

@@ -12,7 +12,8 @@ canonical stage vocabulary:
 ``profile``    turn raw measurements into per-layer operand densities /
                summaries and map them onto full-size specs
 ``compile``    lower specs + densities into simulator work units
-               (instruction programs, workload jobs, design points)
+               (instruction programs, (spec, densities) workloads,
+               design points)
 ``simulate``   execute work units on the architecture model, mapping
                them in process through the :class:`~repro.api.runner.Runner`
 ``report``     package payload + summary + native result
@@ -24,7 +25,7 @@ vocabulary (Fig. 8 is ``train -> profile -> compile -> simulate -> report``;
 the FIFO ablation is just ``prune -> report``).  The
 :class:`PipelineContext` threads the request, run options, runner, artifacts
 and per-stage timings through the stages, and exposes the per-stage caching
-hook (:meth:`PipelineContext.cached`) that the density and sweep caches plug
+hook (:meth:`PipelineContext.cached`) that the density cache plugs
 into.
 """
 
@@ -149,23 +150,17 @@ class PipelineContext:
         """Get-or-compute one value through a persistent stage cache.
 
         ``store`` is any object with the :class:`repro.explore.cache.ResultCache`
-        ``get``/``put`` protocol, or ``None`` to disable caching (``compute``
-        always runs).  ``serialize``/``deserialize`` convert between the
-        computed value and the stored JSON record; identity by default.
-        Every lookup is recorded per stage so callers (and
-        :class:`ExperimentResult`) can report hit rates.
+        ``get(key, decode)``/``put`` protocol — the run options' cache
+        (:meth:`RunOptions.density_cache`) — or ``None`` to disable caching
+        (``compute`` always runs).  ``serialize``/``deserialize`` convert
+        between the computed value and the stored JSON record; identity by
+        default.  A record that ``deserialize`` rejects is the store's
+        counted miss, so ``compute`` runs and overwrites it.  Every lookup is
+        recorded per stage so callers (and :class:`ExperimentResult`) can
+        report hit rates.
         """
-        hit = False
-        value: Any = None
-        if store is not None:
-            record = store.get(key)
-            if record is not None:
-                try:
-                    value = deserialize(record) if deserialize else record
-                    hit = True
-                except (KeyError, TypeError, ValueError):
-                    # Foreign/corrupted record under this key: recompute.
-                    hit = False
+        value = store.get(key, deserialize) if store is not None else None
+        hit = value is not None
         if not hit:
             value = compute()
             if store is not None:

@@ -30,9 +30,8 @@ from repro.api import (
 from repro.dataflow.compiler import compile_training_iteration
 from repro.eval.common import ExperimentScale
 from repro.eval.fig8 import densities_for_workload, train_stage
-from repro.explore.cache import ResultCache
 from repro.models.zoo import get_model_spec
-from repro.sim.runner import WorkloadJob, _run_job
+from repro.sim.runner import compare_workload
 
 DEFAULT_BENCH_PATH = "BENCH_repro.json"
 
@@ -142,8 +141,10 @@ def _compile_stage(ctx: PipelineContext) -> dict[str, Any]:
 def _simulate_stage(ctx: PipelineContext):
     """``simulate`` — SparseTrain vs the dense baseline on the workload."""
     compiled = ctx["compile"]
-    job = WorkloadJob(spec=compiled["spec"], densities=compiled["densities"])
-    return ctx.runner.map(_run_job, [job])[0]
+    return ctx.runner.map(
+        lambda spec: compare_workload(spec, compiled["densities"]),
+        [compiled["spec"]],
+    )[0]
 
 
 def _report_stage(ctx: PipelineContext) -> ExperimentReport:
@@ -191,13 +192,15 @@ def build_bench_pipeline(request: ExperimentRequest) -> Pipeline:
 def run_bench(
     smoke: bool = False,
     out: str | Path | None = DEFAULT_BENCH_PATH,
-    density_cache: ResultCache | None = None,
+    options: RunOptions = RunOptions(use_cache=False),
     pruning_rate: float = 0.9,
 ) -> BenchResult:
     """Run every bench stage; write ``out`` (unless ``None``) and return results.
 
     A thin wrapper over the registered ``bench`` experiment pipeline; the
     stage timings in the result are the pipeline's own stage clock.
+    ``options`` selects the density cache the ``train`` stage reads (off by
+    default; ``repro bench`` passes ``--cache-dir`` / ``--no-cache``).
     """
     request = ExperimentRequest(
         experiment="bench",
@@ -205,11 +208,7 @@ def run_bench(
         pruning_rate=pruning_rate,
         scale=SMOKE_SCALE if smoke else FULL_SCALE,
     )
-    result = get_experiment("bench").run(
-        request,
-        options=RunOptions(),
-        extras={"density_cache": density_cache},
-    )
+    result = get_experiment("bench").run(request, options=options)
     bench_result: BenchResult = result.native
     if out is not None:
         _write_atomic(Path(out), bench_result.to_payload())

@@ -288,15 +288,6 @@ def _fig_workloads(args: argparse.Namespace) -> tuple[tuple[str, str], ...]:
     return PAPER_FIG8_WORKLOADS if args.paper else QUICK_FIG8_WORKLOADS
 
 
-def _density_cache(args: argparse.Namespace):
-    """Disk cache for measured densities, honoring --no-cache/--cache-dir."""
-    if getattr(args, "no_cache", False):
-        return None
-    from repro.eval.density_cache import default_density_cache
-
-    return default_density_cache(getattr(args, "cache_dir", DEFAULT_CACHE_DIR))
-
-
 def _run_fig(args: argparse.Namespace, experiment: str) -> int:
     from repro.eval.common import ExperimentScale
 
@@ -335,7 +326,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     result = run_bench(
         smoke=args.smoke,
         out=args.out,
-        density_cache=_density_cache(args),
+        options=_run_options(args),
         pruning_rate=args.pruning_rate,
     )
     print(result.format())

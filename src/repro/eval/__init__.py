@@ -25,7 +25,6 @@ from repro.eval.fig8 import (
     PAPER_FIG8_WORKLOADS,
     QUICK_FIG8_WORKLOADS,
     Fig8Result,
-    measure_family_densities,
     measure_model_densities,
     run_fig8,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "Fig8Result",
     "run_fig8",
     "measure_model_densities",
-    "measure_family_densities",
     "PAPER_FIG8_WORKLOADS",
     "QUICK_FIG8_WORKLOADS",
     "EXTENDED_FIG8_WORKLOADS",

@@ -9,12 +9,14 @@ eval/benchmark runs can skip the retraining entirely.
 This module reuses the exploration subsystem's append-only JSONL cache
 (:class:`repro.explore.cache.ResultCache`): entries are keyed by a stable
 content hash of the full measurement description and store the serialized
-:class:`~repro.sim.trace.MeasuredDensities`.
+:class:`~repro.sim.trace.MeasuredDensities`.  The run options choose the
+cache (:meth:`repro.api.RunOptions.density_cache`), and the fig8 ``train``
+stage reads it through ``ResultCache.get(key, deserialize_measured)``, so a
+record that does not deserialize is re-measured.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping
@@ -23,7 +25,6 @@ from repro.api.request import scale_to_dict
 from repro.dataflow.counts import LayerDensities
 from repro.eval.common import ExperimentScale
 from repro.explore.cache import DEFAULT_CACHE_DIR, ResultCache, stable_key
-from repro.obs import metrics
 from repro.sim.trace import MeasuredDensities
 
 # Lives alongside the sweep cache in the gitignored cache directory.
@@ -72,45 +73,3 @@ def deserialize_measured(payload: Mapping[str, Any]) -> MeasuredDensities:
         name: LayerDensities(**payload["densities"][name]) for name in layer_names
     }
     return MeasuredDensities(layer_names=layer_names, densities=densities)
-
-
-def load_cached_densities(
-    cache: ResultCache | None,
-    model_name: str,
-    pruning_rate: float,
-    scale: ExperimentScale,
-) -> MeasuredDensities | None:
-    """Cached measurement for this configuration, or ``None`` on a miss."""
-    if cache is None:
-        return None
-    record = cache.get(density_cache_key(model_name, pruning_rate, scale))
-    if record is None:
-        return None
-    try:
-        return deserialize_measured(record)
-    except (KeyError, TypeError, ValueError):
-        # A foreign/corrupted record under this key: fall back to measuring.
-        metrics().counter("cache.corrupt_records", cache=cache.path.stem).inc()
-        warnings.warn(
-            f"density cache {cache.path}: corrupt record for "
-            f"{model_name} (p={pruning_rate}); re-measuring",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
-
-def store_cached_densities(
-    cache: ResultCache | None,
-    model_name: str,
-    pruning_rate: float,
-    scale: ExperimentScale,
-    measured: MeasuredDensities,
-) -> None:
-    """Persist one measurement (no-op when caching is disabled)."""
-    if cache is None:
-        return
-    cache.put(
-        density_cache_key(model_name, pruning_rate, scale),
-        serialize_measured(measured),
-    )

@@ -11,14 +11,15 @@ The harness executes as a registered :mod:`repro.api` pipeline
 1. ``train`` — train reduced per-family models on synthetic data with pruning
    enabled and profile the per-layer operand densities
    (:mod:`repro.sim.trace`); memoized on disk through the pipeline's
-   per-stage cache hook.
+   per-stage cache hook when the run options enable caching.
 2. ``profile`` — assign the measured densities to the paper's exact
    AlexNet/ResNet-18/34 layer geometries by relative depth.
-3. ``compile`` — lower each workload into a
-   :class:`~repro.sim.runner.WorkloadJob` (program compilation itself runs
-   in the simulate stage, one workload at a time).
-4. ``simulate`` — run SparseTrain and the dense baseline (168 PEs, 386 KB
-   buffer each) on every job, in process, through the pipeline's
+3. ``compile`` — pair each workload's full-size spec with its densities
+   (program compilation itself runs in the simulate stage, one workload at
+   a time).
+4. ``simulate`` — map :func:`~repro.sim.runner.compare_workload` (SparseTrain
+   and the dense baseline, 168 PEs and 386 KB buffer each) over the
+   workloads, in process, through the pipeline's
    :class:`~repro.api.runner.Runner`, at every fidelity.
 5. ``report`` — per-sample latency and speedup tables.
 """
@@ -34,6 +35,7 @@ from repro.api import (
     ExperimentRequest,
     Pipeline,
     PipelineContext,
+    RunOptions,
     Stage,
     get_experiment,
     register_experiment,
@@ -50,15 +52,13 @@ from repro.eval.common import (
 from repro.eval.density_cache import (
     density_cache_key,
     deserialize_measured,
-    load_cached_densities,
     serialize_measured,
-    store_cached_densities,
 )
-from repro.explore.cache import ResultCache
+from repro.models.spec import ModelSpec
 from repro.models.zoo import get_model_spec, model_family
 from repro.pruning.config import PruningConfig
 from repro.sim.report import format_latency_table
-from repro.sim.runner import WorkloadJob, WorkloadResult, _run_job
+from repro.sim.runner import WorkloadResult, compare_workload
 from repro.sim.trace import MeasuredDensities, map_densities_to_spec, profile_training_densities
 
 # The (model, dataset) grid of the paper's Fig. 8 / Fig. 9.
@@ -135,10 +135,18 @@ class Fig8Result:
         return format_latency_table(self.workloads)
 
 
-def _measure_densities_uncached(
-    model_name: str, pruning_rate: float, scale: ExperimentScale
+def measure_model_densities(
+    model_name: str,
+    pruning_rate: float = 0.9,
+    scale: ExperimentScale | None = None,
 ) -> MeasuredDensities:
-    """The raw density measurement: train a reduced model and profile it."""
+    """Measure per-layer densities of one model family on synthetic data.
+
+    Trains a reduced model with pruning enabled and profiles it.  The
+    fig8/fig9/bench ``train`` stage memoizes this measurement on disk when
+    the run options enable caching (:func:`train_stage`).
+    """
+    scale = scale if scale is not None else ExperimentScale.quick()
     train, _ = synthetic_dataset_for("CIFAR-10", scale)
     model = build_reduced_model(model_name, train.num_classes, scale)
     pruning = (
@@ -157,28 +165,6 @@ def _measure_densities_uncached(
     )
 
 
-def measure_model_densities(
-    model_name: str,
-    pruning_rate: float = 0.9,
-    scale: ExperimentScale | None = None,
-    cache: ResultCache | None = None,
-) -> MeasuredDensities:
-    """Measure per-layer densities of one model family on synthetic data.
-
-    Pass ``cache`` (see :mod:`repro.eval.density_cache`) to memoize the
-    measurement on disk: the reduced-model training — the slowest stage of
-    the fig8/fig9 pipeline — is skipped whenever an identical (model,
-    pruning rate, scale) configuration was measured before.
-    """
-    scale = scale if scale is not None else ExperimentScale.quick()
-    cached = load_cached_densities(cache, model_name, pruning_rate, scale)
-    if cached is not None:
-        return cached
-    measured = _measure_densities_uncached(model_name, pruning_rate, scale)
-    store_cached_densities(cache, model_name, pruning_rate, scale, measured)
-    return measured
-
-
 def densities_for_workload(
     model_name: str,
     dataset_name: str,
@@ -192,32 +178,6 @@ def densities_for_workload(
     return map_densities_to_spec(measured[family], spec)
 
 
-def measure_family_densities(
-    workloads: tuple[tuple[str, str], ...],
-    pruning_rate: float = 0.9,
-    scale: ExperimentScale | None = None,
-    cache: ResultCache | None = None,
-) -> dict[str, MeasuredDensities]:
-    """Measure densities for every model family appearing in ``workloads``.
-
-    One reduced model is trained per family (not per workload), mirroring the
-    paper's setup where each family's sparsity statistics transfer across
-    datasets and depths.  ``cache`` memoizes the per-family measurements on
-    disk (see :func:`measure_model_densities`).
-    """
-    families = []
-    for model_name, _ in workloads:
-        family = model_family(model_name)
-        if family not in families:
-            families.append(family)
-    return {
-        family: measure_model_densities(
-            FAMILY_REFERENCE_MODELS[family], pruning_rate, scale, cache=cache
-        )
-        for family in families
-    }
-
-
 # ---------------------------------------------------------------------------
 # The fig8 pipeline (shared by fig9 and bench)
 # ---------------------------------------------------------------------------
@@ -227,30 +187,19 @@ def request_workloads(request: ExperimentRequest) -> tuple[tuple[str, str], ...]
     return request.workloads or QUICK_FIG8_WORKLOADS
 
 
-def density_store(ctx: PipelineContext):
-    """The density cache for a pipeline run.
-
-    Library wrappers pass the cache (or an explicit ``None`` to disable
-    caching) through extras; registry/CLI runs derive it from the run
-    options (``--cache-dir`` / ``--no-cache``).
-    """
-    if "density_cache" in ctx.extras:
-        return ctx.extras["density_cache"]
-    return ctx.options.density_cache()
-
-
 def train_stage(ctx: PipelineContext) -> dict[str, MeasuredDensities]:
     """``train`` — measure per-family densities, one reduced model per family.
 
     Each family's measurement goes through the pipeline's per-stage cache
     hook with the :func:`repro.eval.density_cache.density_cache_key` content
-    hash, so fig8, fig9 and bench runs share measurements on disk.
+    hash and the run options' density cache (``--cache-dir`` /
+    ``--no-cache``), so fig8, fig9 and bench runs share measurements on disk.
     """
     request = ctx.request
     preloaded = ctx.extras.get("measured")
     if preloaded is not None:
         return dict(preloaded)
-    store = density_store(ctx)
+    store = ctx.options.density_cache()
     measured: dict[str, MeasuredDensities] = {}
     for model_name, _ in request_workloads(request):
         family = model_family(model_name)
@@ -259,7 +208,7 @@ def train_stage(ctx: PipelineContext) -> dict[str, MeasuredDensities]:
         reference = FAMILY_REFERENCE_MODELS[family]
         measured[family] = ctx.cached(
             density_cache_key(reference, request.pruning_rate, request.scale),
-            lambda reference=reference: _measure_densities_uncached(
+            lambda reference=reference: measure_model_densities(
                 reference, request.pruning_rate, request.scale
             ),
             store=store,
@@ -280,32 +229,43 @@ def profile_stage(ctx: PipelineContext) -> dict[tuple[str, str], dict[str, Layer
     }
 
 
-def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
-    """``compile`` — lower every workload into a simulation job."""
+def compile_stage(
+    ctx: PipelineContext,
+) -> list[tuple[ModelSpec, dict[str, LayerDensities]]]:
+    """``compile`` — pair every workload's full-size spec with its densities."""
     densities_by_workload = ctx["profile"]
-    extras = ctx.extras
     return [
-        WorkloadJob(
-            spec=get_model_spec(model_name, dataset_name),
-            densities=densities_by_workload[(model_name, dataset_name)],
-            sparse_config=extras.get("sparse_config"),
-            baseline_config=extras.get("baseline_config"),
-            energy_model=extras.get("energy_model"),
+        (
+            get_model_spec(model_name, dataset_name),
+            densities_by_workload[(model_name, dataset_name)],
         )
         for model_name, dataset_name in request_workloads(ctx.request)
     ]
 
 
 def simulate_stage(ctx: PipelineContext) -> list[WorkloadResult]:
-    """``simulate`` — both architectures per job, mapped in process.
+    """``simulate`` — :func:`compare_workload` per workload, mapped in process.
 
     Shared by fig8 and fig9.  Every fidelity runs this one path: the
     instruction-stream walk yields the per-(layer, step) results the fig9
     energy breakdown reads, and a fig8 workload costs milliseconds, so the
     ``analytic`` and ``scalar`` tiers are accepted (and hashed) but change
-    nothing here.
+    nothing here.  The architectures and energy model default to the
+    paper's unless a library caller passes them as extras.
     """
-    return ctx.runner.map(_run_job, ctx["compile"])
+    extras = ctx.extras
+
+    def simulate(workload: tuple[ModelSpec, dict[str, LayerDensities]]):
+        spec, densities = workload
+        return compare_workload(
+            spec,
+            densities,
+            sparse_config=extras.get("sparse_config"),
+            baseline_config=extras.get("baseline_config"),
+            energy_model=extras.get("energy_model"),
+        )
+
+    return ctx.runner.map(simulate, ctx["compile"])
 
 
 def workload_payload(result_workloads: list[WorkloadResult]) -> dict[str, dict[str, float]]:
@@ -360,15 +320,15 @@ def run_fig8(
     baseline_config: ArchConfig | None = None,
     energy_model: EnergyModel | None = None,
     measured: dict[str, MeasuredDensities] | None = None,
-    density_cache: ResultCache | None = None,
+    options: RunOptions = RunOptions(use_cache=False),
 ) -> Fig8Result:
     """Regenerate the Fig. 8 latency/speedup comparison.
 
     A thin wrapper over the registered ``fig8`` experiment pipeline.
     ``measured`` can be passed to reuse density measurements across calls
     (e.g. Fig. 9 reuses Fig. 8's measurements); otherwise one reduced model
-    per family is trained and profiled by the ``train`` stage (memoized on
-    disk when ``density_cache`` is given).
+    per family is trained and profiled by the ``train`` stage, memoized on
+    disk when ``options`` enables the cache (off by default).
     """
     request = ExperimentRequest(
         experiment="fig8",
@@ -378,9 +338,9 @@ def run_fig8(
     )
     result = get_experiment("fig8").run(
         request,
+        options=options,
         extras={
             "measured": measured,
-            "density_cache": density_cache,
             "sparse_config": sparse_config,
             "baseline_config": baseline_config,
             "energy_model": energy_model,

@@ -25,6 +25,7 @@ from repro.api import (
     ExperimentRequest,
     Pipeline,
     PipelineContext,
+    RunOptions,
     Stage,
     get_experiment,
     register_experiment,
@@ -41,7 +42,6 @@ from repro.eval.fig8 import (
     train_stage,
     workload_payload,
 )
-from repro.explore.cache import ResultCache
 from repro.sim.report import format_breakdown, format_energy_table
 from repro.sim.runner import WorkloadResult
 from repro.sim.trace import MeasuredDensities
@@ -138,14 +138,15 @@ def run_fig9(
     energy_model: EnergyModel | None = None,
     measured: dict[str, MeasuredDensities] | None = None,
     fig8_result: Fig8Result | None = None,
-    density_cache: ResultCache | None = None,
+    options: RunOptions = RunOptions(use_cache=False),
 ) -> Fig9Result:
     """Regenerate the Fig. 9 energy comparison.
 
     Pass ``fig8_result`` to reuse an already-simulated Fig. 8 run (the two
     figures share the same workload simulations in the paper as well);
     otherwise the registered ``fig9`` experiment pipeline runs the shared
-    train/profile/compile/simulate stages itself.
+    train/profile/compile/simulate stages itself, with the density cache
+    that ``options`` selects (off by default).
     """
     if fig8_result is not None:
         return Fig9Result(workloads=list(fig8_result.workloads))
@@ -157,9 +158,9 @@ def run_fig9(
     )
     result = get_experiment("fig9").run(
         request,
+        options=options,
         extras={
             "measured": measured,
-            "density_cache": density_cache,
             "sparse_config": sparse_config,
             "baseline_config": baseline_config,
             "energy_model": energy_model,

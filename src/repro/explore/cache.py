@@ -10,6 +10,10 @@ The format is append-only and human-greppable: one ``{"key": ..., "record":
 ...}`` object per line.  If the same key is appended twice (two processes
 racing on the same file), the last line wins on reload, and both carry the
 same payload by construction, so the race is benign.
+
+:meth:`ResultCache.get` is the only read path: callers pass the decoder that
+turns a stored record back into their value, and a record that does not
+decode is a counted, warned miss — the caller recomputes and overwrites it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.obs import metrics
 
@@ -33,28 +37,14 @@ def stable_key(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class CacheInfo(NamedTuple):
-    """Lookup statistics of one :class:`ResultCache` instance.
-
-    Mirrors the ``functools.lru_cache``/``im2col_cache_info`` idiom:
-    ``hits``/``misses`` count :meth:`ResultCache.get` outcomes, ``corrupt``
-    counts JSONL lines dropped at load time, ``entries`` is the live size.
-    """
-
-    hits: int
-    misses: int
-    corrupt: int
-    entries: int
-
-
 class ResultCache:
     """On-disk key -> record-dict store with an in-memory index.
 
-    Every lookup is double-counted: locally (:meth:`cache_info`) and into the
-    process-global metrics registry (``cache.hits`` / ``cache.misses`` /
-    ``cache.corrupt_lines`` counters labelled by the cache file's stem, e.g.
-    ``cache="densities"``), which is where the service's ``/stats`` hit rates
-    come from.
+    Every lookup is counted into the process-global metrics registry
+    (``cache.hits`` / ``cache.misses`` / ``cache.corrupt_records``, and
+    ``cache.corrupt_lines`` at load time, labelled by the cache file's stem,
+    e.g. ``cache="densities"``), which is where the service's ``/stats`` hit
+    rates come from.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -62,9 +52,6 @@ class ResultCache:
             path = Path(DEFAULT_CACHE_DIR) / DEFAULT_CACHE_FILE
         self.path = Path(path)
         self._records: dict[str, dict[str, Any]] = {}
-        self._hits = 0
-        self._misses = 0
-        self._corrupt = 0
         self._load()
 
     def _load(self) -> None:
@@ -84,7 +71,6 @@ class ResultCache:
                     # one entry; the point is simply re-simulated.
                     corrupt += 1
         if corrupt:
-            self._corrupt = corrupt
             metrics().counter("cache.corrupt_lines", cache=self.path.stem).inc(corrupt)
             warnings.warn(
                 f"result cache {self.path}: skipped {corrupt} corrupt/truncated "
@@ -99,25 +85,33 @@ class ResultCache:
     def __contains__(self, key: str) -> bool:
         return key in self._records
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """Cached record dict for ``key``, or ``None`` on a miss."""
-        record = self._records.get(key)
-        if record is not None:
-            self._hits += 1
-            metrics().counter("cache.hits", cache=self.path.stem).inc()
-        else:
-            self._misses += 1
-            metrics().counter("cache.misses", cache=self.path.stem).inc()
-        return record
+    def get(
+        self, key: str, decode: Callable[[dict[str, Any]], Any] | None = None
+    ) -> Any:
+        """The record for ``key`` passed through ``decode``, or ``None`` on a miss.
 
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/corrupt-line statistics of this cache instance."""
-        return CacheInfo(
-            hits=self._hits,
-            misses=self._misses,
-            corrupt=self._corrupt,
-            entries=len(self._records),
-        )
+        A record that ``decode`` rejects (``KeyError``/``TypeError``/
+        ``ValueError``: a foreign or stale record under a live key) is a miss:
+        it counts one ``cache.corrupt_records`` and one ``cache.misses``,
+        never a ``cache.hits``, and warns.  Without ``decode`` the stored
+        record dict is returned as is.
+        """
+        value = self._records.get(key)
+        if value is not None and decode is not None:
+            try:
+                value = decode(value)
+            except (KeyError, TypeError, ValueError):
+                metrics().counter("cache.corrupt_records", cache=self.path.stem).inc()
+                warnings.warn(
+                    f"result cache {self.path}: the record under key {key[:12]} "
+                    f"does not decode; it will be recomputed",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                value = None
+        outcome = "cache.misses" if value is None else "cache.hits"
+        metrics().counter(outcome, cache=self.path.stem).inc()
+        return value
 
     def put(self, key: str, record: Mapping[str, Any]) -> None:
         """Store a record, appending it to the on-disk file."""

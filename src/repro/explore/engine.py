@@ -8,7 +8,9 @@ machinery a survey-scale sweep needs:
 * **deduplication** — identical points (same content hash) are evaluated once
   per run no matter how often they appear in the input;
 * **persistent caching** — points found in a :class:`ResultCache` are never
-  re-evaluated, so a repeated sweep costs only file I/O;
+  re-evaluated, so a repeated sweep costs only file I/O; a stored record
+  that does not decode into an :class:`EvaluationRecord` is a miss, and the
+  point is evaluated again;
 * **column evaluation** — the cache misses are costed together by
   :func:`repro.analytic.model.evaluate_points_analytic`, the simulator's step
   loop on numpy columns, whose records equal :func:`evaluate_point`'s;
@@ -367,10 +369,14 @@ class ExplorationEngine:
 
         misses: dict[str, DesignPoint] = {}
         for key, point in unique.items():
-            cached = self.cache.get(key) if self.cache is not None else None
+            cached = (
+                self.cache.get(key, EvaluationRecord.from_dict)
+                if self.cache is not None
+                else None
+            )
             if cached is not None:
                 stats.cache_hits += 1
-                yield EvaluationRecord.from_dict(cached)
+                yield cached
             else:
                 misses[key] = point
 

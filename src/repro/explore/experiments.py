@@ -96,11 +96,8 @@ def _compile_stage(ctx: PipelineContext):
 
 
 def _simulate_vectorized(ctx: PipelineContext) -> dict[str, Any]:
-    """The default tier: the deduplicating, cached engine."""
-    cache = ctx.extras.get("sweep_cache")
-    if cache is None and "sweep_cache" not in ctx.extras:
-        cache = ctx.options.sweep_cache()
-    engine = ExplorationEngine(cache=cache)
+    """The default tier: the deduplicating engine, cached per the run options."""
+    engine = ExplorationEngine(cache=ctx.options.sweep_cache())
     records = engine.run(ctx["compile"])
     return {"records": records, "stats": engine.stats.describe()}
 

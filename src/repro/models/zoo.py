@@ -26,6 +26,10 @@ from repro.models.vgg import supported_vgg_depths, vgg_spec
 # The dataset grid every registered workload supports.
 KNOWN_DATASETS: tuple[str, ...] = ("CIFAR-10", "CIFAR-100", "ImageNet")
 
+# Validated specs by normalized (model, dataset).  A ModelSpec is frozen and
+# the registry rejects re-registering a name, so one build per key is exact.
+_SPECS: dict[tuple[str, str], ModelSpec] = {}
+
 
 def normalize_model_name(model: str) -> str:
     """Canonicalise a model name: ``"resnet18"``/``"ResNet_18"`` -> ``"ResNet-18"``.
@@ -137,9 +141,14 @@ def get_model_spec(model: str, dataset: str) -> ModelSpec:
     dataset:
         ``"CIFAR-10"``, ``"CIFAR-100"`` or ``"ImageNet"`` (same forgiving
         matching: ``"cifar10"`` works too).
+
+    Every spelling of one combination returns the same (memoized) object.
     """
     model_name = normalize_model_name(model)
     dataset_name = normalize_dataset_name(dataset)
+    spec = _SPECS.get((model_name, dataset_name))
+    if spec is not None:
+        return spec
     if model_name not in WORKLOADS:
         # Keep the specific parse errors for family-prefixed names so typos
         # like "ResNet-abc" name the model instead of listing the registry.
@@ -168,7 +177,8 @@ def get_model_spec(model: str, dataset: str) -> ModelSpec:
             f"unknown dataset {dataset!r} for {model_name}; known datasets: "
             f"{', '.join(workload.datasets)}"
         )
-    return workload.spec(dataset_name)
+    spec = _SPECS[(model_name, dataset_name)] = workload.spec(dataset_name)
+    return spec
 
 
 def paper_workloads(include_imagenet: bool = True) -> list[ModelSpec]:

@@ -356,6 +356,7 @@ class _Handler(BaseHTTPRequestHandler):
         scheduler = server.scheduler
         supervisor = server.supervisor
         workers = server.store.list_workers()
+        _, last_logged = server.store.event_totals()
         return {
             "ok": True,
             "version": repro.__version__,
@@ -365,9 +366,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "concurrency": scheduler.concurrency,
                 "running": scheduler.running,
                 "workers_alive": len(workers),
-                "last_dequeue_at": scheduler.last_dequeue_at,
+                "last_dequeue_at": last_logged.get("started"),
                 "lease_ttl": scheduler.lease_ttl,
-                "threads": scheduler.worker_liveness(),
             },
             # Every registered worker (in-process threads and external
             # ``repro worker`` processes alike) with heartbeat age + lease.
@@ -415,7 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         queue_wait = snapshot.get("serve.queue_wait_seconds", ())
         validate_error = snapshot.get("analytic.validate.max_rel_error", ())
-        logged = server.store.event_counts()
+        logged, last_logged = server.store.event_totals()
         return {
             "version": repro.__version__,
             "uptime_s": time.time() - server.started_at,
@@ -440,7 +440,7 @@ class _Handler(BaseHTTPRequestHandler):
             "scheduler": {
                 "concurrency": scheduler.concurrency,
                 "workers_alive": len(server.store.list_workers()),
-                "last_dequeue_at": scheduler.last_dequeue_at,
+                "last_dequeue_at": last_logged.get("started"),
                 "queue_wait": dict(queue_wait[0]) if queue_wait else None,
             },
             "stages": stages,

@@ -16,10 +16,11 @@ What the scheduler adds on top of its workers:
 * **graceful drain** — :meth:`stop` lets every claimed job finish
   (pipelines are not interrupted mid-stage), then joins the threads; jobs
   still queued stay queued in the store and survive to the next start.
-* **liveness** — ``/healthz`` reads per-thread state (last dequeue,
-  current job) from its workers.  How many workers are alive is read from
-  the store's worker registry instead, which both modes keep: a worker
-  registers when its loop starts and deregisters on exit.
+* **liveness** — nothing per thread: ``/healthz`` and ``/stats`` read how
+  many workers are alive from the store's worker registry (a worker
+  registers when its loop starts and deregisters on exit) and the last
+  dequeue from the latest ``started`` event in the store's event log, so
+  both modes report the same liveness.
 
 With ``concurrency=0`` the scheduler runs *front-end only*: it recovers and
 accepts submissions, while execution belongs entirely to worker processes
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
 
 from repro.api.request import ExperimentRequest, RunOptions
 from repro.serve.store import (
@@ -181,20 +181,6 @@ class Scheduler:
         if not self._threads:  # front-end-only mode: alive once started
             return True
         return any(t.is_alive() for t in self._threads)
-
-    @property
-    def last_dequeue_at(self) -> float | None:
-        """The most recent claim across all worker threads."""
-        stamps = [
-            worker.last_claim_at
-            for worker in self.workers
-            if worker.last_claim_at is not None
-        ]
-        return max(stamps) if stamps else None
-
-    def worker_liveness(self) -> dict[str, dict[str, Any]]:
-        """Per-worker-thread liveness: last dequeue, current job, tallies."""
-        return {worker.worker_id: worker.liveness() for worker in self.workers}
 
     # ------------------------------------------------------------------
     # Submission / waiting

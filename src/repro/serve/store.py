@@ -1038,13 +1038,22 @@ class JobStore:
             for row in rows
         ]
 
-    def event_counts(self) -> dict[str, int]:
-        """How many times each event was logged over the store's lifetime."""
+    def event_totals(self) -> tuple[dict[str, int], dict[str, float]]:
+        """How many times each event was logged, and when it last was.
+
+        Both cover the store's lifetime and come from one ``GROUP BY event``
+        scan.  The latest ``started`` is the last claim by any worker —
+        in-process threads and fleet processes alike — which ``/healthz``
+        and ``/stats`` report as ``last_dequeue_at``.
+        """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT event, COUNT(*) AS n FROM job_events GROUP BY event"
+                "SELECT event, COUNT(*) AS n, MAX(ts) AS last"
+                " FROM job_events GROUP BY event"
             ).fetchall()
-        return {row["event"]: row["n"] for row in rows}
+        counts = {row["event"]: row["n"] for row in rows}
+        last = {row["event"]: row["last"] for row in rows}
+        return counts, last
 
     def submissions(self, job_id: str) -> list[dict[str, Any]]:
         """The submission records attached to one job, oldest first."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from repro.api.request import ExperimentRequest, ExperimentResult, RunOptions
 from repro.api.stages import DeadlineExceeded
@@ -152,20 +152,10 @@ class Worker:
         self._log = log if log is not None else (lambda message: None)
         self._wakeup = threading.Event()
         self.jobs_executed = 0
-        self.current_job: str | None = None
-        self.last_claim_at: float | None = None
 
     def wake(self) -> None:
         """End the current idle wait now: a job was queued, or stop was set."""
         self._wakeup.set()
-
-    def liveness(self) -> dict[str, Any]:
-        """Last claim, current job and jobs run — the ``/healthz`` view."""
-        return {
-            "last_dequeue_at": self.last_claim_at,
-            "current_job": self.current_job,
-            "jobs_done": self.jobs_executed,
-        }
 
     # ------------------------------------------------------------------
     def run(
@@ -222,11 +212,7 @@ class Worker:
                     self._wakeup.clear()
                     continue
                 idle_since = None
-                self.current_job, self.last_claim_at = job.id, time.time()
-                try:
-                    self._run_job(job)
-                finally:
-                    self.current_job = None
+                self._run_job(job)
                 self.jobs_executed += 1
                 if max_jobs is not None and self.jobs_executed >= max_jobs:
                     break

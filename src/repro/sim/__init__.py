@@ -2,7 +2,6 @@
 
 from repro.sim.report import format_breakdown, format_energy_table, format_latency_table
 from repro.sim.runner import (
-    WorkloadJob,
     WorkloadResult,
     compare_workload,
     simulate_baseline,
@@ -18,7 +17,6 @@ __all__ = [
     "MeasuredDensities",
     "profile_training_densities",
     "map_densities_to_spec",
-    "WorkloadJob",
     "WorkloadResult",
     "compare_workload",
     "simulate_sparsetrain",

@@ -60,8 +60,19 @@ def simulate_baseline(
     config: ArchConfig | None = None,
     energy_model: EnergyModel | None = None,
 ) -> SimulationResult:
-    """Simulate one dense-baseline training iteration (per sample) of ``spec``."""
+    """Simulate one dense-baseline training iteration (per sample) of ``spec``.
+
+    The baseline is Eyeriss "modified to support the dense training process"
+    with SparseTrain's PE count and buffer: it shares all of SparseTrain's
+    machinery except that it does not exploit sparsity, which is what a
+    ``sparse=False`` program on a config with ``sparse_dataflow=False``
+    models.  A config that skips zeros is rejected.
+    """
     config = config if config is not None else dense_baseline_config()
+    if config.sparse_dataflow:
+        raise ValueError(
+            "the dense baseline needs a config with sparse_dataflow=False"
+        )
     energy_model = energy_model if energy_model is not None else default_energy_model()
     program = compile_training_iteration(spec, densities=None, sparse=False)
     simulator = AcceleratorSimulator(config, energy_model)
@@ -85,30 +96,3 @@ def compare_workload(
         baseline=baseline_result,
     )
     return WorkloadResult(spec=spec, densities=densities, comparison=comparison)
-
-
-# ---------------------------------------------------------------------------
-# Work units for the pipelines' ``Runner``
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorkloadJob:
-    """One ``compare_workload`` invocation, packaged as a unit of work:
-    fig8/fig9 and bench map :func:`_run_job` over a list of them with
-    ``ctx.runner.map``, in process."""
-
-    spec: ModelSpec
-    densities: dict[str, LayerDensities]
-    sparse_config: ArchConfig | None = None
-    baseline_config: ArchConfig | None = None
-    energy_model: EnergyModel | None = None
-
-
-def _run_job(job: WorkloadJob) -> WorkloadResult:
-    return compare_workload(
-        job.spec,
-        job.densities,
-        sparse_config=job.sparse_config,
-        baseline_config=job.baseline_config,
-        energy_model=job.energy_model,
-    )

@@ -11,7 +11,6 @@ from repro.arch.controller import Controller
 from repro.arch.energy import EnergyModel
 from repro.arch.pe import PE
 from repro.arch.results import ComparisonResult
-from repro.baselines.eyeriss import DenseBaselineSimulator, dense_training_cycles_roofline
 from repro.dataflow.compiler import compile_training_iteration, uniform_densities
 from repro.dataflow.counts import StepKind
 from repro.dataflow.decompose import accumulate_forward, decompose_forward
@@ -19,6 +18,7 @@ from repro.dataflow.instructions import StoreOutputInstruction
 from repro.models.alexnet import alexnet_cifar_spec
 from repro.models.resnet import resnet_spec
 from repro.nn import functional as F
+from repro.sim.runner import simulate_baseline
 
 
 @pytest.fixture
@@ -78,8 +78,9 @@ class TestAcceleratorSimulator:
     def test_dense_baseline_not_faster_than_roofline(self):
         spec = alexnet_cifar_spec()
         config = dense_baseline_config()
-        result = DenseBaselineSimulator(config).run(spec)
-        roofline = dense_training_cycles_roofline(spec, config)
+        result = simulate_baseline(spec, config)
+        # Every dense MAC at the array's peak rate: no schedule beats it.
+        roofline = spec.conv_training_macs / config.peak_macs_per_cycle
         assert result.total_cycles >= roofline
 
     def test_sparse_faster_than_dense_for_sparse_workload(self, sparse_alexnet_workload):
@@ -93,7 +94,7 @@ class TestAcceleratorSimulator:
 
     def test_speedup_increases_with_sparsity(self):
         spec = alexnet_cifar_spec()
-        dense_result = DenseBaselineSimulator().run(spec)
+        dense_result = simulate_baseline(spec)
         cycles = []
         for grad_density in (0.8, 0.4, 0.1):
             densities = uniform_densities(
@@ -202,16 +203,15 @@ class TestComparisonResult:
 
 class TestDenseBaseline:
     def test_rejects_sparse_config(self):
-        with pytest.raises(ValueError):
-            DenseBaselineSimulator(sparsetrain_config())
+        with pytest.raises(ValueError, match="sparse_dataflow=False"):
+            simulate_baseline(alexnet_cifar_spec(), sparsetrain_config())
 
     def test_resnet_slower_than_alexnet_on_cifar(self):
-        baseline = DenseBaselineSimulator()
-        alexnet = baseline.run(alexnet_cifar_spec())
-        resnet = DenseBaselineSimulator().run(resnet_spec(18, "CIFAR-10"))
+        alexnet = simulate_baseline(alexnet_cifar_spec())
+        resnet = simulate_baseline(resnet_spec(18, "CIFAR-10"))
         assert resnet.total_cycles > alexnet.total_cycles
 
     def test_imagenet_slower_than_cifar(self):
-        cifar = DenseBaselineSimulator().run(resnet_spec(18, "CIFAR-10"))
-        imagenet = DenseBaselineSimulator().run(resnet_spec(18, "ImageNet"))
+        cifar = simulate_baseline(resnet_spec(18, "CIFAR-10"))
+        imagenet = simulate_baseline(resnet_spec(18, "ImageNet"))
         assert imagenet.total_cycles > cifar.total_cycles

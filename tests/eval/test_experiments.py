@@ -87,7 +87,7 @@ class TestReducedLearningRate:
         ) == lr
         assert _learning_rate_of(
             monkeypatch, fig8, "profile_training_densities",
-            lambda: fig8._measure_densities_uncached(model, 0.9, TINY),
+            lambda: fig8.measure_model_densities(model, 0.9, TINY),
         ) == lr
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,23 @@ class TestSweepCommand:
         )
         assert code == 0
         assert "4 cached, 0 simulated" in out
+
+    def test_foreign_record_is_re_evaluated(self, tmp_path, capsys):
+        """Valid JSON under a live key but the wrong shape: a warned miss."""
+        out_file = tmp_path / "sweep.json"
+        run_cli(
+            ["sweep", "--smoke", "--cache-dir", str(tmp_path), "--out", str(out_file)],
+            capsys,
+        )
+        key = json.loads(out_file.read_text())["records"][0]["key"]
+        with (tmp_path / "sweeps.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": key, "record": {}}) + "\n")
+        with pytest.warns(RuntimeWarning, match="does not decode"):
+            code, out = run_cli(
+                ["sweep", "--smoke", "--cache-dir", str(tmp_path)], capsys
+            )
+        assert code == 0
+        assert "4 points (0 duplicate), 3 cached, 1 simulated" in out
 
     def test_default_grid_covers_four_workloads(self, tmp_path, capsys):
         code, out = run_cli(

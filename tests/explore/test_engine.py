@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.analytic.model as analytic_model
@@ -17,6 +19,7 @@ from repro.explore.engine import (
 )
 from repro.explore.space import DesignSpace, grid_axis, paper_neighborhood_space
 from repro.models.zoo import get_model_spec
+from repro.obs import metrics
 
 WORKLOADS = (("AlexNet", "CIFAR-10"), ("ResNet-18", "CIFAR-10"))
 
@@ -194,6 +197,34 @@ class TestExplorationEngine:
         assert len(records) == len(everything)
         assert engine.stats.cache_hits == len(first_half)
         assert engine.stats.evaluated == len(everything) - len(first_half)
+
+    def test_record_that_does_not_decode_is_re_evaluated(self, tmp_path):
+        """A foreign record under a live key is a counted, warned miss."""
+        points = points_for(SMALL_SPACE, WORKLOADS[:1])
+        cache_path = tmp_path / "cache.jsonl"
+        expected = ExplorationEngine(cache=ResultCache(cache_path)).run(points)
+        with cache_path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": points[0].key, "record": {}}) + "\n")
+
+        def count(name):
+            return metrics().counter(name, cache="cache").value
+
+        before = {
+            name: count(name)
+            for name in ("cache.hits", "cache.misses", "cache.corrupt_records")
+        }
+        engine = ExplorationEngine(cache=ResultCache(cache_path))
+        with pytest.warns(RuntimeWarning, match="does not decode"):
+            assert engine.run(points) == expected
+        assert engine.stats.cache_hits == len(points) - 1
+        assert engine.stats.evaluated == 1
+        assert count("cache.hits") == before["cache.hits"] + len(points) - 1
+        assert count("cache.misses") == before["cache.misses"] + 1
+        assert count("cache.corrupt_records") == before["cache.corrupt_records"] + 1
+        # The re-evaluated record replaced the foreign one on disk.
+        healed = ExplorationEngine(cache=ResultCache(cache_path))
+        assert healed.run(points) == expected
+        assert healed.stats.cache_hits == len(points)
 
     def test_records_equal_the_walk(self):
         points = points_for(SMALL_SPACE, WORKLOADS)

@@ -70,6 +70,11 @@ class TestGetModelSpec:
     def test_all_variants_resolve_to_same_spec(self, model, dataset):
         assert get_model_spec(model, dataset) == get_model_spec("ResNet-18", "CIFAR-10")
 
+    def test_repeated_lookups_return_the_same_object(self):
+        spec = get_model_spec("ResNet-152", "ImageNet")
+        assert get_model_spec("ResNet-152", "ImageNet") is spec
+        assert get_model_spec("resnet152", "imagenet") is spec
+
     def test_alexnet_variants_resolve(self):
         assert get_model_spec("alexnet", "imagenet") == get_model_spec(
             "AlexNet", "ImageNet"

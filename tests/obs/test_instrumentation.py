@@ -12,7 +12,7 @@ import pytest
 from repro.api import ExperimentRequest, RunOptions, run_experiment
 from repro.api.runner import Runner
 from repro.eval.common import ExperimentScale
-from repro.explore.cache import CacheInfo, ResultCache
+from repro.explore.cache import ResultCache
 from repro.obs import TRACE, metrics
 
 
@@ -101,17 +101,6 @@ class TestRunnerInstrumentation:
 
 
 class TestResultCacheCounters:
-    def test_cache_info_counts_local_hits_and_misses(self, tmp_path):
-        cache = ResultCache(tmp_path / "stage.jsonl")
-        assert cache.cache_info() == CacheInfo(hits=0, misses=0, corrupt=0, entries=0)
-        assert cache.get("k") is None
-        cache.put("k", {"v": 1})
-        assert cache.get("k") == {"v": 1}
-        assert cache.get("other") is None
-        info = cache.cache_info()
-        assert info.hits == 1 and info.misses == 2
-        assert info.entries == 1 and info.corrupt == 0
-
     def test_global_counters_track_by_cache_name(self, tmp_path):
         hits = _counter("cache.hits", cache="stage")
         misses = _counter("cache.misses", cache="stage")
@@ -130,8 +119,28 @@ class TestResultCacheCounters:
         corrupt = _counter("cache.corrupt_lines", cache="stage")
         reloaded = ResultCache(path)
         assert reloaded.get("good") == {"v": 1}
-        assert reloaded.cache_info().corrupt == 1
         assert _counter("cache.corrupt_lines", cache="stage") == corrupt + 1
+
+    def test_record_that_does_not_decode_is_a_counted_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "stage.jsonl")
+        cache.put("k", {"v": 1})
+        before = {
+            name: _counter(name, cache="stage")
+            for name in ("cache.hits", "cache.misses", "cache.corrupt_records")
+        }
+
+        def decode(record):
+            return record["missing"]
+
+        with pytest.warns(RuntimeWarning, match="does not decode"):
+            assert cache.get("k", decode) is None
+        assert cache.get("k", lambda record: record["v"]) == 1
+        assert _counter("cache.hits", cache="stage") == before["cache.hits"] + 1
+        assert _counter("cache.misses", cache="stage") == before["cache.misses"] + 1
+        assert (
+            _counter("cache.corrupt_records", cache="stage")
+            == before["cache.corrupt_records"] + 1
+        )
 
 
 class TestColdWarmFig8:

@@ -146,13 +146,19 @@ class TestHealthz:
         assert sched["workers_alive"] == 1
         assert sched["last_dequeue_at"] is None  # nothing claimed yet
 
-    def test_last_dequeue_timestamp_set_after_a_claim(self, running):
-        before = time.time()
-        job = running.client.submit(_request())["job"]
-        running.client.wait(job["id"], timeout=30.0, poll=0.02)
-        sched = running.client.health()["scheduler"]
-        assert sched["last_dequeue_at"] is not None
-        assert sched["last_dequeue_at"] >= before
+    def test_last_dequeue_timestamp_set_after_a_claim(self, tmp_path, mode):
+        # In fleet mode the claim happens in a worker the front end does not
+        # own; both modes read it from the store's event log.
+        service = _Service(tmp_path, execute=StageExecutor(), mode=mode)
+        try:
+            before = time.time()
+            job = service.client.submit(_request())["job"]
+            service.client.wait(job["id"], timeout=30.0, poll=0.02)
+            for view in (service.client.health(), service.client.stats()):
+                assert view["scheduler"]["last_dequeue_at"] is not None
+                assert view["scheduler"]["last_dequeue_at"] >= before
+        finally:
+            service.close()
 
 
 class TestWorkersAlive:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib
 import json
+import time
 
 import pytest
 
 from pathlib import Path
 
+from repro.api import RunOptions
 from repro.bench import (
     SMOKE_SCALE,
     BenchResult,
@@ -17,7 +19,6 @@ from repro.bench import (
     run_bench,
 )
 from repro.cli import main
-from repro.explore.cache import ResultCache
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -25,7 +26,7 @@ from repro.obs.metrics import MetricsRegistry
 def smoke_result(tmp_path_factory):
     """One shared smoke bench run (trains a tiny model once per module)."""
     out = tmp_path_factory.mktemp("bench") / "BENCH_repro.json"
-    result = run_bench(smoke=True, out=out, density_cache=None)
+    result = run_bench(smoke=True, out=out)
     return result, out
 
 
@@ -45,15 +46,15 @@ class TestRunBench:
 
     def test_out_none_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        result = run_bench(smoke=True, out=None, density_cache=None)
+        result = run_bench(smoke=True, out=None)
         assert isinstance(result, BenchResult)
         assert not list(tmp_path.glob("BENCH_*.json"))
 
     def test_density_cache_hit_recorded(self, tmp_path):
-        cache = ResultCache(tmp_path / "densities.jsonl")
-        first = run_bench(smoke=True, out=None, density_cache=cache)
+        options = RunOptions(cache_dir=tmp_path)
+        first = run_bench(smoke=True, out=None, options=options)
         assert first.stages["train"]["cache_hit"] is False
-        second = run_bench(smoke=True, out=None, density_cache=cache)
+        second = run_bench(smoke=True, out=None, options=options)
         assert second.stages["train"]["cache_hit"] is True
         # The cached re-run skips retraining entirely.
         assert second.stages["train"]["seconds"] <= first.stages["train"]["seconds"]
@@ -188,7 +189,18 @@ class TestBenchCheckCLI:
             importlib.import_module("repro.obs.metrics"), "REGISTRY", MetricsRegistry()
         )
         # A baseline train p95 just above the 0.05 s noise floor: a cold smoke
-        # run trains a model (a few hundred ms), so the check must fail...
+        # run trains a model, so the check must fail...  A warm process trains
+        # the smoke model in ~0.07 s, at the 0.072 s ceiling, so the cold
+        # run's measurement is held above it whatever the machine's speed.
+        import repro.eval.fig8 as fig8
+
+        measure = fig8.measure_model_densities
+
+        def slow_measure(*args, **kwargs):
+            time.sleep(0.1)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(fig8, "measure_model_densities", slow_measure)
         fast = tmp_path / "fast.json"
         fast.write_text(json.dumps(_payload({"train": 0.06}, smoke=True)))
         out = tmp_path / "bench.json"

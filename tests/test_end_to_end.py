@@ -17,7 +17,7 @@ from repro.utils.rng import new_rng
 class TestPackage:
     def test_version_and_subpackages(self):
         assert repro.__version__
-        for name in ("nn", "data", "models", "pruning", "sparsity", "dataflow", "arch", "baselines", "sim"):
+        for name in ("nn", "data", "models", "pruning", "sparsity", "dataflow", "arch", "sim"):
             assert hasattr(repro, name)
 
 
