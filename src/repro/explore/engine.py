@@ -9,7 +9,8 @@ machinery a survey-scale sweep needs:
   per run no matter how often they appear in the input;
 * **persistent caching** — points found in a :class:`ResultCache` are never
   re-evaluated, so a repeated sweep costs only file I/O; a stored record
-  that does not decode into an :class:`EvaluationRecord` is a miss, and the
+  that does not decode into an :class:`EvaluationRecord` of the requested
+  point (a record carrying another point's key included) is a miss, and the
   point is evaluated again;
 * **column evaluation** — the cache misses are costed together by
   :func:`repro.analytic.model.evaluate_points_analytic`, the simulator's step
@@ -24,7 +25,7 @@ program and walks it through ``AcceleratorSimulator.run_program``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.arch.area import estimate_area
@@ -246,6 +247,14 @@ class EvaluationRecord(NamedTuple):
         return cls(**kwargs)
 
 
+def _decode_record(key: str, data: Mapping[str, Any]) -> EvaluationRecord:
+    """Decode a cached record stored under ``key``; it must name that key."""
+    record = EvaluationRecord.from_dict(data)
+    if record.key != key:
+        raise ValueError(f"record names another point, {record.key[:12]}")
+    return record
+
+
 def evaluate_point(point: DesignPoint) -> EvaluationRecord:
     """Simulate one design point through the instruction-stream walk."""
     spec = get_model_spec(point.model, point.dataset)
@@ -370,7 +379,7 @@ class ExplorationEngine:
         misses: dict[str, DesignPoint] = {}
         for key, point in unique.items():
             cached = (
-                self.cache.get(key, EvaluationRecord.from_dict)
+                self.cache.get(key, partial(_decode_record, key))
                 if self.cache is not None
                 else None
             )

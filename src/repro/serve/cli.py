@@ -21,11 +21,39 @@ import json
 import signal
 import sys
 import threading
+import time
 from typing import Any, Sequence
 
 from repro.analytic.fidelity import DEFAULT_FIDELITY, FIDELITY_CHOICES
 
 DEFAULT_DB = ".repro-cache/serve.db"
+
+
+class _ShutdownFlag:
+    """The SIGINT/SIGTERM handler of ``repro serve`` and ``repro worker``.
+
+    A handler runs on the main thread between two bytecodes, possibly while
+    that thread holds a lock inside a wait.  Setting a ``threading.Event``
+    (or waking a worker) takes a lock, and blocks forever if the
+    interrupted thread holds it.  So the handler only assigns an attribute,
+    and the main loops read :meth:`is_set` once per wait step.
+    """
+
+    def __init__(self) -> None:
+        self.requested = False
+
+    def __call__(self, signum: int, frame: Any) -> None:
+        self.requested = True
+
+    def is_set(self) -> bool:
+        return self.requested
+
+    def install(self) -> dict[int, Any]:
+        """Handle SIGINT and SIGTERM; returns the handlers it replaced."""
+        return {
+            sig: signal.signal(sig, self)
+            for sig in (signal.SIGINT, signal.SIGTERM)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +129,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         supervisor.start()
         server.supervisor = supervisor
 
-    stop = threading.Event()
-
-    def _request_shutdown(signum: int, frame: Any) -> None:
-        stop.set()
-
-    previous = {
-        sig: signal.signal(sig, _request_shutdown)
-        for sig in (signal.SIGINT, signal.SIGTERM)
-    }
+    stop = _ShutdownFlag()
+    previous = stop.install()
     http_thread = threading.Thread(
         target=server.serve_forever, name="repro-serve-http", daemon=True
     )
@@ -128,8 +149,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             recovered=recovered,
         )
     try:
-        while not stop.is_set():
-            stop.wait(0.2)
+        while not stop.is_set():  # set by the signal handler, read every 50 ms
+            time.sleep(0.05)
     finally:
         service_log("repro serve: draining (running jobs finish, queue persists)")
         server.shutdown()
@@ -191,16 +212,8 @@ def cmd_worker(args: argparse.Namespace) -> int:
         log=service_log,
     )
 
-    stop = threading.Event()
-
-    def _request_shutdown(signum: int, frame: Any) -> None:
-        stop.set()
-        worker.wake()
-
-    previous = {
-        sig: signal.signal(sig, _request_shutdown)
-        for sig in (signal.SIGINT, signal.SIGTERM)
-    }
+    stop = _ShutdownFlag()
+    previous = stop.install()
     try:
         worker.run(stop=stop, max_jobs=args.max_jobs, idle_exit=args.idle_exit)
     finally:
@@ -616,7 +629,8 @@ def register_serve_commands(
     )
     worker.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECONDS",
-        help="idle sleep between queue checks (default: %(default)s)",
+        help="longest wait between queue checks while the store does not "
+             "change, and the idle heartbeat cadence (default: %(default)s)",
     )
     worker.add_argument(
         "--retry-delay", type=float, default=0.5, metavar="SECONDS",

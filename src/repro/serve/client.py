@@ -14,6 +14,10 @@ The client is deliberately tolerant of a *briefly* absent service:
 and :meth:`ServeClient.wait` rides out transient outages (a supervisor
 respawn, a front-end restart) within a bounded reconnect budget — a
 ``repro submit --wait`` must not die because the service blinked.
+
+:meth:`ServeClient.wait` long-polls the job's events feed rather than
+re-reading the job on a timer, so it returns as soon as the service logs
+the job's last transition.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Any, Mapping
 from repro.api.request import ExperimentRequest
 from repro.faults import InjectedFault, fault_point
 from repro.obs import new_trace_id
-from repro.serve.http_api import DEFAULT_HOST, DEFAULT_PORT
+from repro.serve.http_api import DEFAULT_EVENTS_TIMEOUT, DEFAULT_HOST, DEFAULT_PORT
 from repro.serve.store import INACTIVE_STATES
 
 DEFAULT_URL = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
@@ -242,34 +246,48 @@ class ServeClient:
         poll: float = 0.25,
         reconnect_budget: float = DEFAULT_RECONNECT_BUDGET,
     ) -> dict[str, Any]:
-        """Poll until the job is terminal or quarantined.
+        """Block until the job is terminal or quarantined; returns its row.
+
+        Long-polls ``GET /jobs/<id>/events`` (``since`` the last event seen,
+        each poll bounded by the remaining ``timeout``) until the feed
+        reports an inactive state, then fetches the row with one
+        ``GET /jobs/<id>``.
 
         Transient :class:`ServeUnavailableError`\\ s are absorbed for up to
         ``reconnect_budget`` seconds of *continuous* outage (a fleet
-        supervisor respawning the front end must not kill a ``--wait``);
-        the budget resets on every successful poll.  Raises
-        ``TimeoutError`` past ``timeout`` and the last
-        :class:`ServeUnavailableError` once the reconnect budget is spent.
+        supervisor respawning the front end must not kill a ``--wait``),
+        retrying every ``poll`` seconds; the budget resets on every
+        successful call.  Raises ``TimeoutError`` past ``timeout`` and the
+        last :class:`ServeUnavailableError` once the reconnect budget is
+        spent.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         outage_since: float | None = None
+        since = 0
         while True:
+            window = DEFAULT_EVENTS_TIMEOUT
+            if deadline is not None:
+                window = max(0.0, min(window, deadline - time.monotonic()))
+            pause = 0.0
             try:
-                job = self.job(job_id)
+                feed = self.events(job_id, since=since, timeout=window)
+                if feed["state"] in INACTIVE_STATES:
+                    return self.job(job_id)
             except ServeUnavailableError:
                 now = time.monotonic()
                 outage_since = outage_since if outage_since is not None else now
                 if now - outage_since >= reconnect_budget:
                     raise
+                pause = poll
             else:
                 outage_since = None
-                if job["state"] in INACTIVE_STATES:
-                    return job
+                since = feed["next"]
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id[:12]} not finished after {timeout}s"
                 )
-            time.sleep(poll)
+            if pause:
+                time.sleep(pause)
 
 
 __all__ = [

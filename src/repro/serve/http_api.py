@@ -30,8 +30,10 @@ Routes
     at 60).  Responds ``{"job": ..., "state": ..., "events": [...], "next":
     N}`` — the events are the store's durable log of the job's transitions
     (started/stage/done/retry_scheduled/failed/cancelled/requeued/
-    quarantined), re-read every ``EVENTS_POLL_INTERVAL`` seconds until an
-    event arrives, the job is inactive, or the timeout passes.
+    quarantined).  The poll sleeps on the store's change signal and
+    re-reads the log after each commit — this process's at once, another
+    process's within ``CHANGE_POLL_INTERVAL`` (20 ms) — until an event past
+    ``since`` arrives, the job is inactive, or the timeout passes.
 ``GET /jobs/<id>/trace``
     The job's merged distributed trace as a Chrome/Perfetto trace-event
     document: every span any fleet process spooled under the job's
@@ -88,12 +90,9 @@ from repro.serve.store import (
     UnknownJobError,
 )
 
-# Long-poll bounds for /jobs/<id>/events, and how often a poll re-reads the
-# store's event log (the writer may be another process, so there is nothing
-# in this one to wait on).
+# Long-poll bounds for /jobs/<id>/events.
 DEFAULT_EVENTS_TIMEOUT = 25.0
 MAX_EVENTS_TIMEOUT = 60.0
-EVENTS_POLL_INTERVAL = 0.05
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8377
@@ -502,7 +501,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _events(self, job_ref: str, query: dict[str, list[str]]) -> dict[str, Any]:
         """Long-poll one job's progress events past ``since``."""
-        job = self.server.store.find(job_ref)
+        store = self.server.store
+        job = store.find(job_ref)
         since = int(query.get("since", ["0"])[0])
         timeout = min(
             float(query.get("timeout", [str(DEFAULT_EVENTS_TIMEOUT)])[0]),
@@ -510,17 +510,17 @@ class _Handler(BaseHTTPRequestHandler):
         )
         deadline = time.monotonic() + timeout
         while True:
-            # State before events: a terminal state read here guarantees its
-            # event (logged in the same transaction) is in the read below.
-            job = self.server.store.get(job.id)
-            events = self.server.store.events(job.id, since)
-            if (
-                events
-                or job.state in INACTIVE_STATES
-                or time.monotonic() >= deadline
-            ):
+            # The change token before the reads: a commit that lands after
+            # them still ends the wait.  State before events: a terminal
+            # state read here guarantees its event (logged in the same
+            # transaction) is in the read below.
+            token = store.change_count()
+            job = store.get(job.id)
+            events = store.events(job.id, since)
+            remaining = deadline - time.monotonic()
+            if events or job.state in INACTIVE_STATES or remaining <= 0:
                 break
-            time.sleep(EVENTS_POLL_INTERVAL)
+            store.wait_for_change(token, remaining)
         return {
             "job": job.id,
             "state": job.state,

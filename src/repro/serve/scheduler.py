@@ -10,9 +10,6 @@ registered pipeline the CLI runs, persistent disk caches included.
 
 What the scheduler adds on top of its workers:
 
-* **wake-on-submit** — :meth:`submit` and :meth:`requeue` write through the
-  store and wake idle threads, so an in-process job starts without waiting
-  out the idle poll.
 * **graceful drain** — :meth:`stop` lets every claimed job finish
   (pipelines are not interrupted mid-stage), then joins the threads; jobs
   still queued stay queued in the store and survive to the next start.
@@ -21,6 +18,10 @@ What the scheduler adds on top of its workers:
   registers when its loop starts and deregisters on exit) and the last
   dequeue from the latest ``started`` event in the store's event log, so
   both modes report the same liveness.
+
+Nothing wakes the threads by hand: they sleep on the store's change signal,
+so a submit's or requeue's own commit starts an in-process job at once, and
+a stop is seen within one wait step.
 
 With ``concurrency=0`` the scheduler runs *front-end only*: it recovers and
 accepts submissions, while execution belongs entirely to worker processes
@@ -64,9 +65,9 @@ class Scheduler:
     retry_base_delay / retry_max_delay:
         Exponential-backoff parameters for failed executions.
     poll_interval:
-        How long an idle worker thread sleeps between queue checks;
-        submissions wake the threads immediately, so this only bounds
-        retry-gate latency.
+        How long an idle worker thread waits for a store change before
+        checking the queue anyway; submissions wake the threads through
+        the store's change signal, so this only bounds retry-gate latency.
     lease_ttl / heartbeat_interval:
         Lease duration stamped on claims and how often a running job's lease
         is extended (default: a third of the TTL).
@@ -156,7 +157,6 @@ class Scheduler:
         Returns ``True`` when every worker joined within ``timeout``.
         """
         self._stop.set()
-        self._wake()
         deadline = None if timeout is None else time.monotonic() + timeout
         drained = True
         for thread in self._threads:
@@ -169,10 +169,6 @@ class Scheduler:
             self._threads = []
             self._started = False
         return drained
-
-    def _wake(self) -> None:
-        for worker in self.workers:
-            worker.wake()
 
     @property
     def running(self) -> bool:
@@ -194,8 +190,9 @@ class Scheduler:
         deadline_s: float | None = None,
         trace_id: str | None = None,
     ) -> tuple[Job, bool]:
-        """Submit through the store's dedup seam and wake the workers."""
-        job, deduped = self.store.submit(
+        """Submit through the store's dedup seam; its commit wakes the
+        workers."""
+        return self.store.submit(
             request,
             priority=priority,
             max_retries=0 if max_retries is None else max_retries,
@@ -203,16 +200,11 @@ class Scheduler:
             deadline_s=deadline_s,
             trace_id=trace_id,
         )
-        self._wake()
-        return job, deduped
 
     def requeue(self, job_id: str) -> tuple[Job, bool]:
-        """The quarantine escape hatch: release a resting job and wake the
-        workers."""
-        job, requeued = self.store.requeue(job_id)
-        if requeued:
-            self._wake()
-        return job, requeued
+        """The quarantine escape hatch: release a resting job (its commit
+        wakes the workers)."""
+        return self.store.requeue(job_id)
 
     def wait(
         self, job_id: str, timeout: float | None = None, poll: float = 0.05
@@ -221,17 +213,21 @@ class Scheduler:
 
         Quarantine counts as an answer: the job will not run again without
         operator intervention, so a waiter must not block out its timeout.
+        Sleeps on the store's change signal, re-reading at least every
+        ``poll`` seconds.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            token = self.store.change_count()
             job = self.store.get(job_id)
             if job.state in INACTIVE_STATES:
                 return job
-            if deadline is not None and time.monotonic() >= deadline:
+            remaining = poll if deadline is None else deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
                     f"job {job.short_id} still {job.state} after {timeout}s"
                 )
-            time.sleep(poll)
+            self.store.wait_for_change(token, min(poll, remaining))
 
 
 __all__ = ["Scheduler"]

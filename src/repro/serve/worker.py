@@ -26,6 +26,16 @@ Crash-recovery contract:
   it, the owner guard on ``record_stage``/``mark_done``/``mark_failed``
   discards its late writes: the job's outcome belongs to whoever holds the
   lease.
+* A store error in the loop's own calls (an ``sqlite3.Error`` or an
+  injected ``store.commit`` fault) does not end the loop: it is counted in
+  ``serve.worker.loop_errors``, logged, and retried after a backoff that
+  doubles per consecutive error up to ``LOOP_ERROR_BACKOFF_MAX``.
+
+An idle worker sleeps on the store's change signal
+(:meth:`JobStore.wait_for_change`): a submit, requeue or retry commit —
+from this process or any other — wakes it to claim at once, and
+``poll_interval`` is only the backstop (retry gates that come due without a
+commit) and the idle heartbeat cadence.
 
 SIGTERM/SIGINT drain gracefully: the current job finishes, nothing new is
 claimed, the worker deregisters and exits 0.
@@ -33,21 +43,29 @@ claimed, the worker deregisters and exits 0.
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 from typing import Callable
 
 from repro.api.request import ExperimentRequest, ExperimentResult, RunOptions
 from repro.api.stages import DeadlineExceeded
-from repro.faults import fault_point
+from repro.faults import InjectedFault, fault_point
 from repro.obs import metrics, trace_context, trace_span
 from repro.serve.store import (
+    CHANGE_POLL_INTERVAL,
     DEFAULT_LEASE_TTL,
     DEFAULT_REQUEUE_CAP,
     JobStore,
     Job,
     default_worker_id,
 )
+
+# The backoff after a store error in the worker loop: it starts here and
+# doubles per consecutive error, capped at the maximum.
+LOOP_ERROR_BACKOFF = 0.05
+LOOP_ERROR_BACKOFF_MAX = 1.0
+_LOOP_ERRORS = (sqlite3.Error, InjectedFault)
 
 # Execution callable: (request, options, on_stage, deadline) -> result, where
 # ``deadline`` is the job's absolute epoch-seconds budget end, or None.
@@ -105,7 +123,8 @@ class Worker:
         the fleet's failure-detection latency: a dead worker's jobs requeue
         at most one TTL + one reap interval after its last heartbeat.
     poll_interval:
-        Idle sleep between queue checks; :meth:`wake` cuts it short.
+        Backstop between queue checks while the store does not change, and
+        the idle heartbeat cadence.
     retry_base_delay / retry_max_delay:
         Exponential-backoff parameters for failed executions.
     quarantine_after:
@@ -150,12 +169,15 @@ class Worker:
         self.retry_max_delay = retry_max_delay
         self._execute = execute if execute is not None else _default_execute
         self._log = log if log is not None else (lambda message: None)
-        self._wakeup = threading.Event()
         self.jobs_executed = 0
 
     def wake(self) -> None:
-        """End the current idle wait now: a job was queued, or stop was set."""
-        self._wakeup.set()
+        """End the current idle wait now, through the store's change signal.
+
+        Not for signal handlers: it takes the signal's lock, which the
+        interrupted thread may hold.  A handler only sets the stop flag.
+        """
+        self.store.notify_change()
 
     # ------------------------------------------------------------------
     def run(
@@ -167,52 +189,52 @@ class Worker:
         """Drain the queue until stopped; returns jobs executed.
 
         ``max_jobs`` bounds the number of executions (testing / batch use);
-        ``idle_exit`` exits after that many consecutive idle seconds.  A
-        caller that sets ``stop`` also calls :meth:`wake`, or the worker
-        notices only after its current idle wait.
+        ``idle_exit`` exits after that many consecutive idle seconds.
+        ``stop`` is anything with ``is_set()``; the loop reads it at least
+        once per ``CHANGE_POLL_INTERVAL`` while idle, so setting it needs
+        no wake-up.
         """
         stop = stop if stop is not None else threading.Event()
         self.store.register_worker(self.worker_id)
         self._log(f"worker {self.worker_id}: draining (lease_ttl={self.lease_ttl}s)")
         idle_since: float | None = None
-        next_reap = time.monotonic()
+        next_reap = next_beat = time.monotonic()
+        errors = 0
         try:
             while not stop.is_set():
-                if time.monotonic() >= next_reap:
-                    outcome = self.store.reap_expired(
-                        quarantine_after=self.quarantine_after
-                    )
-                    for job_id in outcome.requeued:
-                        self._log(
-                            f"worker {self.worker_id}: requeued expired lease"
-                            f" on job {job_id[:12]}"
-                        )
-                    for job_id in outcome.quarantined:
-                        self._log(
-                            f"worker {self.worker_id}: quarantined crash-"
-                            f"looping job {job_id[:12]}"
-                        )
-                    pruned = self.store.prune_workers(max_age=self.prune_after)
-                    if pruned:
-                        self._log(
-                            f"worker {self.worker_id}: pruned {pruned} dead"
-                            " worker row(s)"
-                        )
-                    next_reap = time.monotonic() + self.reap_interval
-                job = self.store.claim_next(
-                    worker_id=self.worker_id, lease_ttl=self.lease_ttl
-                )
-                if job is None:
+                try:
                     now = time.monotonic()
-                    idle_since = idle_since if idle_since is not None else now
-                    if idle_exit is not None and now - idle_since >= idle_exit:
-                        break
-                    self.store.worker_heartbeat(self.worker_id)
-                    self._wakeup.wait(self.poll_interval)
-                    self._wakeup.clear()
+                    if now >= next_reap:
+                        self._reap()
+                        next_reap = now + self.reap_interval
+                    if now >= next_beat:
+                        self.store.worker_heartbeat(self.worker_id)
+                        next_beat = now + self.poll_interval
+                    # Taken before the claim, after this worker's own
+                    # commits: any commit that lands later ends the wait.
+                    token = self.store.change_count()
+                    job = self.store.claim_next(
+                        worker_id=self.worker_id, lease_ttl=self.lease_ttl
+                    )
+                    errors = 0
+                    if job is None:
+                        now = time.monotonic()
+                        idle_since = idle_since if idle_since is not None else now
+                        if idle_exit is not None and now - idle_since >= idle_exit:
+                            break
+                        self._pause(stop, min(next_beat, next_reap), token)
+                        continue
+                    idle_since = None
+                    self._run_job(job)
+                except _LOOP_ERRORS as exc:
+                    errors += 1
+                    delay = min(
+                        LOOP_ERROR_BACKOFF_MAX,
+                        LOOP_ERROR_BACKOFF * 2 ** (errors - 1),
+                    )
+                    self._loop_error(exc, delay)
+                    self._pause(stop, time.monotonic() + delay)
                     continue
-                idle_since = None
-                self._run_job(job)
                 self.jobs_executed += 1
                 if max_jobs is not None and self.jobs_executed >= max_jobs:
                     break
@@ -223,6 +245,51 @@ class Worker:
                 f"{self.jobs_executed} job(s)"
             )
         return self.jobs_executed
+
+    def _loop_error(self, exc: Exception, retry_in: float) -> None:
+        metrics().counter("serve.worker.loop_errors").inc()
+        self._log(
+            f"worker {self.worker_id}: store error ({type(exc).__name__}:"
+            f" {exc}); retrying in {retry_in:.2f}s"
+        )
+
+    def _reap(self) -> None:
+        outcome = self.store.reap_expired(quarantine_after=self.quarantine_after)
+        for job_id in outcome.requeued:
+            self._log(
+                f"worker {self.worker_id}: requeued expired lease"
+                f" on job {job_id[:12]}"
+            )
+        for job_id in outcome.quarantined:
+            self._log(
+                f"worker {self.worker_id}: quarantined crash-"
+                f"looping job {job_id[:12]}"
+            )
+        pruned = self.store.prune_workers(max_age=self.prune_after)
+        if pruned:
+            self._log(
+                f"worker {self.worker_id}: pruned {pruned} dead"
+                " worker row(s)"
+            )
+
+    def _pause(
+        self, stop: threading.Event, until: float, token: int | None = None
+    ) -> None:
+        """Wait until ``until`` (monotonic) or ``stop``; with a change
+        ``token``, also until the store changes after it.
+
+        Waits in ``CHANGE_POLL_INTERVAL`` steps, so a stop flag set by a
+        signal handler ends the wait within one step.
+        """
+        while not stop.is_set():
+            remaining = until - time.monotonic()
+            if remaining <= 0:
+                return
+            step = min(remaining, CHANGE_POLL_INTERVAL)
+            if token is None:
+                time.sleep(step)
+            elif self.store.wait_for_change(token, step) != token:
+                return
 
     # ------------------------------------------------------------------
     def _run_job(self, job: Job) -> None:
@@ -252,14 +319,17 @@ class Worker:
         def _beat() -> None:
             while not done.wait(self.heartbeat_interval):
                 now = time.time()
-                if not self.store.heartbeat(
-                    job.id, self.worker_id, lease_ttl=self.lease_ttl, now=now
-                ):
-                    lease_lost.set()
-                    return
-                self.store.worker_heartbeat(
-                    self.worker_id, current_job=job.id, now=now
-                )
+                try:
+                    if not self.store.heartbeat(
+                        job.id, self.worker_id, lease_ttl=self.lease_ttl, now=now
+                    ):
+                        lease_lost.set()
+                        return
+                    self.store.worker_heartbeat(
+                        self.worker_id, current_job=job.id, now=now
+                    )
+                except _LOOP_ERRORS as exc:
+                    self._loop_error(exc, self.heartbeat_interval)
 
         beater = threading.Thread(
             target=_beat, name=f"repro-worker-heartbeat-{job.short_id}", daemon=True

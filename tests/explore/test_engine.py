@@ -226,6 +226,32 @@ class TestExplorationEngine:
         assert healed.run(points) == expected
         assert healed.stats.cache_hits == len(points)
 
+    def test_record_naming_another_point_is_re_evaluated(self, tmp_path):
+        """A record that decodes but carries another point's key (a copied
+        or hand-merged line) is the same counted, warned miss."""
+        points = [
+            DesignPoint.from_assignment("AlexNet", "CIFAR-10", {"num_pes": pes})
+            for pes in (84, 168)
+        ]
+        cache_path = tmp_path / "cache.jsonl"
+        expected = ExplorationEngine(cache=ResultCache(cache_path)).run(points)
+        with cache_path.open("a", encoding="utf-8") as handle:
+            foreign = {"key": points[0].key, "record": expected[1].to_dict()}
+            handle.write(json.dumps(foreign) + "\n")
+
+        def count(name):
+            return metrics().counter(name, cache="cache").value
+
+        before = {
+            name: count(name) for name in ("cache.misses", "cache.corrupt_records")
+        }
+        engine = ExplorationEngine(cache=ResultCache(cache_path))
+        with pytest.warns(RuntimeWarning, match="does not decode"):
+            assert engine.run(points) == expected
+        assert (engine.stats.cache_hits, engine.stats.evaluated) == (1, 1)
+        assert count("cache.misses") == before["cache.misses"] + 1
+        assert count("cache.corrupt_records") == before["cache.corrupt_records"] + 1
+
     def test_records_equal_the_walk(self):
         points = points_for(SMALL_SPACE, WORKLOADS)
         assert ExplorationEngine().run(points) == [evaluate_point(p) for p in points]

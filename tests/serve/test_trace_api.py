@@ -90,8 +90,11 @@ class TestTraceEndpoint:
         """A NULL-trace_id row (migrated v3 data) must not 500."""
         running.client.submit(_request(rate=0.4))
         store = running.store
-        store._conn.execute("UPDATE jobs SET trace_id=NULL")
-        store._conn.commit()
+        # Under the store's lock: the worker thread shares this connection,
+        # and a bare commit here would end its open transaction.
+        with store._lock:
+            store._conn.execute("UPDATE jobs SET trace_id=NULL")
+            store._conn.commit()
         job = running.client.jobs()[0]
         document = running.client.trace(job["id"])
         assert document["metadata"]["trace_id"] is None
