@@ -27,24 +27,65 @@ substrate they depend on:
   gauges, streaming log-bucket histograms), structured trace spans with
   Chrome-trace/JSONL export, surfaced through the job service's ``/stats``
   and ``/metrics`` endpoints and the ``repro stats`` / ``repro trace`` verbs.
+
+Subpackages load on first use: ``import repro`` (and so every ``repro``
+command) imports none of them, and ``repro.arch`` or ``from repro import
+arch`` imports :mod:`repro.arch` when it is first named.  The CLI's client
+and service verbs thereby start without numpy; the experiment pipeline loads
+when a process first needs it, through
+:func:`repro.api.registry.ensure_builtins_registered`.
 """
+
+from __future__ import annotations
+
+import importlib
+import sys
+import threading
+from typing import Any, Callable, Mapping
 
 __version__ = "1.3.0"
 
-from repro import (
-    api,
-    arch,
-    data,
-    dataflow,
-    explore,
-    models,
-    nn,
-    obs,
-    pruning,
-    sim,
-    sparsity,
-    utils,
-)
+#: The one lock of first-use imports.  The pipeline loader
+#: (:func:`repro.api.registry.ensure_builtins_registered`) and every lazy
+#: package attribute import under it, so two threads never import the
+#: pipeline's module graph at once: unserialised, its import cycles deadlock
+#: Python's per-module import locks (``_DeadlockError``) or hand one thread
+#: a partially initialised module.  Re-entrant, because a module imported
+#: under it may itself name a lazy attribute.
+_IMPORT_LOCK = threading.RLock()
+
+
+def _lazy_namespace(
+    package: str, exports: Mapping[str, str]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's lazy names.
+
+    ``exports`` maps each name to the submodule of ``package`` that defines
+    it; those submodules resolve as names too.  The first access imports the
+    submodule under :data:`_IMPORT_LOCK` and caches the value in the
+    package, so later accesses never reach ``__getattr__``.
+    """
+    namespace = sys.modules[package].__dict__
+    exports = {**exports, **{module: module for module in exports.values()}}
+
+    def __getattr__(name: str) -> Any:
+        try:
+            submodule = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        with _IMPORT_LOCK:
+            module = importlib.import_module(f"{package}.{submodule}")
+        value = module if name == submodule else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
 
 __all__ = [
     "__version__",
@@ -61,3 +102,7 @@ __all__ = [
     "explore",
     "utils",
 ]
+
+__getattr__, __dir__ = _lazy_namespace(
+    __name__, {name: name for name in __all__ if name != "__version__"}
+)

@@ -18,14 +18,13 @@ eager imports here would close that cycle.
 
 from __future__ import annotations
 
+from repro import _lazy_namespace
 from repro.analytic.fidelity import (
     DEFAULT_FIDELITY,
     FIDELITY_CHOICES,
     Fidelity,
     fidelity_of,
 )
-
-_LAZY_SUBMODULES = ("model", "validate")
 
 __all__ = [
     "DEFAULT_FIDELITY",
@@ -36,12 +35,6 @@ __all__ = [
     "validate",
 ]
 
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f"repro.analytic.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_namespace(
+    __name__, {"model": "model", "validate": "validate"}
+)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro import _IMPORT_LOCK
 from repro.api.request import (
     ExperimentReport,
     ExperimentRequest,
@@ -239,25 +240,35 @@ def ensure_builtins_registered() -> None:
 
     Registration happens at module import time; this forces those imports
     exactly once, lazily, so ``repro.api`` itself stays import-light and free
-    of circular dependencies.
+    of circular dependencies.  It is the one first-use path into the
+    experiment pipeline (numpy, ``nn``, ``models``, ``eval``, ``explore``,
+    ``arch``, ...): every lazy import of pipeline code that a service thread
+    can reach calls it first, and it imports under ``repro``'s first-use
+    import lock, so concurrent first uses load the pipeline once, in one
+    thread, while the others wait.  The modules it imports must not call it
+    at import time: the nested call would mark the registry loaded early.
     """
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    import repro.analytic.validate  # noqa: F401  (analytic-validate)
-    import repro.bench  # noqa: F401  (registers: bench)
-    import repro.eval.ablations  # noqa: F401  (ablate-fifo/-rate/-pes/-energy)
-    import repro.eval.fig8  # noqa: F401  (fig8)
-    import repro.eval.fig9  # noqa: F401  (fig9)
-    import repro.eval.table1  # noqa: F401  (table1)
-    import repro.eval.table2  # noqa: F401  (table2)
-    import repro.explore.experiments  # noqa: F401  (sweep, pareto)
-    import repro.models.zoo  # noqa: F401  (the workload grid)
-    # Only marked loaded once every import succeeded: a failed import is
-    # retried (and re-reported accurately) on the next lookup instead of
-    # leaving a silently half-populated registry.  Modules that did register
-    # are cached in sys.modules, so the retry cannot double-register.
-    _BUILTINS_LOADED = True
+    with _IMPORT_LOCK:
+        if _BUILTINS_LOADED:  # another thread loaded it while this one waited
+            return
+        import repro.analytic.validate  # noqa: F401  (analytic-validate)
+        import repro.bench  # noqa: F401  (registers: bench)
+        import repro.eval.ablations  # noqa: F401  (ablate-fifo/-rate/-pes/-energy)
+        import repro.eval.fig8  # noqa: F401  (fig8)
+        import repro.eval.fig9  # noqa: F401  (fig9)
+        import repro.eval.table1  # noqa: F401  (table1)
+        import repro.eval.table2  # noqa: F401  (table2)
+        import repro.explore.experiments  # noqa: F401  (sweep, pareto)
+        import repro.models.zoo  # noqa: F401  (the workload grid)
+        # Only marked loaded once every import succeeded: a failed import is
+        # retried (and re-reported accurately) on the next lookup instead of
+        # leaving a silently half-populated registry.  Modules that did
+        # register are cached in sys.modules, so the retry cannot
+        # double-register.
+        _BUILTINS_LOADED = True
 
 
 def get_experiment(name: str) -> Experiment:

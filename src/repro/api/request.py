@@ -33,10 +33,21 @@ from typing import Any, Mapping, Sequence
 # the request schema, so the enum lives in a leaf module both layers can use.
 from repro.analytic.fidelity import DEFAULT_FIDELITY, Fidelity
 
-# Default cache location; kept textually in sync with
-# ``repro.explore.cache.DEFAULT_CACHE_DIR`` (asserted by the API test suite)
-# so the API layer stays import-free at module load.
+# Default cache location, relative to the working directory (gitignored).
+# The one definition: ``repro.explore.cache`` and the CLI import it from here.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def _load_pipeline() -> None:
+    """Load the experiment pipeline through the registry's first-use path.
+
+    Called before every lazy import of pipeline code below: these run on
+    service threads (a front end validating a submit, a worker claiming a
+    job), and only the registry's loader imports the pipeline under a lock.
+    """
+    from repro.api.registry import ensure_builtins_registered
+
+    ensure_builtins_registered()
 
 
 def _warn_worker_knob(form: str, stacklevel: int) -> None:
@@ -105,6 +116,7 @@ def scale_to_dict(scale: Any) -> dict[str, Any]:
 
 
 def _scale_from_dict(data: Mapping[str, Any]):
+    _load_pipeline()
     from repro.eval.common import ExperimentScale
 
     kwargs = dict(data)
@@ -161,6 +173,7 @@ class ExperimentRequest:
 
         scale = self.scale
         if scale is None:
+            _load_pipeline()
             from repro.eval.common import ExperimentScale
 
             scale = ExperimentScale.quick()
@@ -269,14 +282,14 @@ def _normalize_workloads(
     """
     if not workloads:
         return ()
-    from repro.api.registry import WORKLOADS, ensure_builtins_registered
+    _load_pipeline()
+    from repro.api.registry import WORKLOADS
     from repro.models.zoo import (
         KNOWN_DATASETS,
         normalize_dataset_name,
         normalize_model_name,
     )
 
-    ensure_builtins_registered()
     normalized: list[tuple[str, str]] = []
     for pair in workloads:
         model, dataset = pair
@@ -329,6 +342,7 @@ class RunOptions:
         """The measured-density store (``None`` when caching is off)."""
         if not self.use_cache:
             return None
+        _load_pipeline()
         from repro.eval.density_cache import default_density_cache
 
         return default_density_cache(self.cache_dir)
@@ -337,6 +351,7 @@ class RunOptions:
         """The design-space result store (``None`` when caching is off)."""
         if not self.use_cache:
             return None
+        _load_pipeline()
         from repro.explore.cache import DEFAULT_CACHE_FILE, ResultCache
 
         return ResultCache(Path(self.cache_dir) / DEFAULT_CACHE_FILE)

@@ -53,6 +53,11 @@ Subcommands
 
 Every run prints the same tables the library returns, so a CLI invocation is
 a reproducible, copy-pasteable experiment description.
+
+Start-up imports only what parsing needs: :mod:`repro.api` (import-light by
+design) and the service verbs' constants.  Each handler imports the rest, so
+``--help``, ``serve``, ``worker`` and the client verbs start without numpy,
+and a verb that runs an experiment loads the pipeline when it first needs it.
 """
 
 from __future__ import annotations
@@ -74,15 +79,7 @@ from repro.api import (
     list_workloads,
     run_experiment,
 )
-from repro.explore.cache import DEFAULT_CACHE_DIR
-from repro.explore.pareto import parse_objectives, pareto_by_workload
-from repro.explore.report import (
-    export_records,
-    format_frontier,
-    format_records_table,
-    load_records,
-)
-from repro.models.zoo import normalize_dataset_name, normalize_model_name
+from repro.api.request import DEFAULT_CACHE_DIR
 
 DEFAULT_WORKLOADS = (
     "AlexNet/CIFAR-10,ResNet-18/CIFAR-10,VGG-16/CIFAR-10,MobileNetV1/CIFAR-10"
@@ -98,6 +95,7 @@ SMOKE_RATES = "0.9"
 
 
 def _parse_workloads(text: str) -> list[tuple[str, str]]:
+    """``<model>/<dataset>`` pairs; :class:`ExperimentRequest` normalises the names."""
     workloads: list[tuple[str, str]] = []
     for item in text.split(","):
         item = item.strip()
@@ -108,7 +106,7 @@ def _parse_workloads(text: str) -> list[tuple[str, str]]:
             raise SystemExit(
                 f"workload {item!r} must be <model>/<dataset>, e.g. AlexNet/CIFAR-10"
             )
-        workloads.append((normalize_model_name(model), normalize_dataset_name(dataset)))
+        workloads.append((model, dataset))
     if not workloads:
         raise SystemExit("at least one workload is required")
     return workloads
@@ -191,7 +189,7 @@ def _selected_workloads(args: argparse.Namespace, default: str) -> list[tuple[st
     """Workloads from --model/--dataset (single) or --workloads (list)."""
     if args.model is not None:
         dataset = args.dataset if args.dataset is not None else "cifar10"
-        return [(normalize_model_name(args.model), normalize_dataset_name(dataset))]
+        return [(args.model, dataset)]
     if args.dataset is not None:
         raise SystemExit("--dataset requires --model (use --workloads for lists)")
     return _parse_workloads(default)
@@ -237,6 +235,8 @@ def _check_export_suffix(path: str | None) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.explore.report import export_records, format_records_table
+
     _check_export_suffix(args.out)
     result = run_experiment(_sweep_request(args, "sweep"), _run_options(args))
     records = result.native["records"]
@@ -252,6 +252,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
+    from repro.explore.pareto import parse_objectives, pareto_by_workload
+    from repro.explore.report import export_records, format_frontier, load_records
+
     _check_export_suffix(args.export)
     objectives = parse_objectives(_parse_list(args.objectives, str))
     if getattr(args, "from_file", None):

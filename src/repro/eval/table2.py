@@ -60,6 +60,10 @@ class Table2Cell:
     train_accuracy: float
     grad_density: float
     history: TrainingHistory
+    #: Training batches the pruning controller pruned, at the layer that
+    #: pruned most (0 for the baseline).  A pruned cell reads 0 when training
+    #: ran out of batches before the threshold FIFO finished warming up.
+    batches_pruned: int = 0
 
     @property
     def is_baseline(self) -> bool:
@@ -134,6 +138,16 @@ class Table2Result:
             lines.append(line)
         lines.append("-" * len(header))
         lines.append("Each cell is accuracy% / mean dO density (rho_nnz).")
+        unpruned = [
+            f"{cell.model}/{cell.dataset} p={cell.pruning_rate:.0%}"
+            for cell in self.cells
+            if not cell.is_baseline and cell.batches_pruned == 0
+        ]
+        if unpruned:
+            lines.append(
+                "Never pruned (training ended inside the threshold FIFO's "
+                f"warm-up; use more samples or epochs): {', '.join(unpruned)}"
+            )
         return "\n".join(lines)
 
 
@@ -149,6 +163,7 @@ def train_one_cell(
     model = build_reduced_model(model_name, train.num_classes, scale)
 
     callbacks = []
+    controller = None
     if pruning_rate is not None:
         controller = PruningController(
             model,
@@ -176,6 +191,12 @@ def train_one_cell(
     grad_densities = [
         trace["grad_output"] for trace in profiler.mean_densities().values()
     ]
+    batches_pruned = 0
+    if controller is not None:
+        batches_pruned = max(
+            (layer.batches_pruned for layer in controller.density_report().layers),
+            default=0,
+        )
     accuracy = history.best_test_accuracy
     return Table2Cell(
         model=model_name,
@@ -185,6 +206,7 @@ def train_one_cell(
         train_accuracy=history.final_train_accuracy,
         grad_density=float(np.mean(grad_densities)) if grad_densities else 1.0,
         history=history,
+        batches_pruned=batches_pruned,
     )
 
 
@@ -237,6 +259,7 @@ def _report_stage(ctx: PipelineContext) -> ExperimentReport:
                 "accuracy": cell.accuracy,
                 "train_accuracy": cell.train_accuracy,
                 "grad_density": cell.grad_density,
+                "batches_pruned": cell.batches_pruned,
             }
             for cell in result.cells
         ],

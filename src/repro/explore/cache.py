@@ -24,10 +24,9 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from repro.api.request import DEFAULT_CACHE_DIR
 from repro.obs import metrics
 
-# Default cache location, relative to the working directory (gitignored).
-DEFAULT_CACHE_DIR = ".repro-cache"
 DEFAULT_CACHE_FILE = "sweeps.jsonl"
 
 

@@ -46,63 +46,45 @@ Minimal embedded use (no HTTP)::
     job, deduped = scheduler.submit(ExperimentRequest(experiment="fig8"))
     print(scheduler.wait(job.id).result().summary)
     scheduler.stop()
+
+Every name below, and each of these submodules, loads on first use: ``import
+repro.serve.client`` (the client verbs) imports neither the executor nor the
+HTTP server.
 """
 
 from __future__ import annotations
 
-from repro.serve.chaos import default_chaos_plan, run_chaos
-from repro.serve.client import (
-    DEFAULT_RECONNECT_BUDGET,
-    DEFAULT_URL,
-    ServeBusyError,
-    ServeClient,
-    ServeError,
-    ServeUnavailableError,
-)
-from repro.serve.http_api import DEFAULT_HOST, DEFAULT_PORT, ExperimentServer
-from repro.serve.scheduler import Scheduler
-from repro.serve.store import (
-    AmbiguousJobError,
-    DEFAULT_LEASE_TTL,
-    DEFAULT_REQUEUE_CAP,
-    INACTIVE_STATES,
-    Job,
-    JobStore,
-    QUARANTINED,
-    ReapOutcome,
-    STATES,
-    TERMINAL_STATES,
-    UnknownJobError,
-    default_worker_id,
-)
-from repro.serve.supervisor import WorkerSupervisor
-from repro.serve.worker import Worker
+from repro import _lazy_namespace
 
-__all__ = [
-    "AmbiguousJobError",
-    "DEFAULT_HOST",
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_PORT",
-    "DEFAULT_RECONNECT_BUDGET",
-    "DEFAULT_REQUEUE_CAP",
-    "DEFAULT_URL",
-    "ExperimentServer",
-    "INACTIVE_STATES",
-    "Job",
-    "JobStore",
-    "QUARANTINED",
-    "ReapOutcome",
-    "STATES",
-    "Scheduler",
-    "ServeBusyError",
-    "ServeClient",
-    "ServeError",
-    "ServeUnavailableError",
-    "TERMINAL_STATES",
-    "UnknownJobError",
-    "Worker",
-    "WorkerSupervisor",
-    "default_chaos_plan",
-    "default_worker_id",
-    "run_chaos",
-]
+_EXPORTS = {
+    "default_chaos_plan": "chaos",
+    "run_chaos": "chaos",
+    "DEFAULT_RECONNECT_BUDGET": "client",
+    "DEFAULT_URL": "client",
+    "ServeBusyError": "client",
+    "ServeClient": "client",
+    "ServeError": "client",
+    "ServeUnavailableError": "client",
+    "DEFAULT_HOST": "http_api",
+    "DEFAULT_PORT": "http_api",
+    "ExperimentServer": "http_api",
+    "Scheduler": "scheduler",
+    "AmbiguousJobError": "store",
+    "DEFAULT_LEASE_TTL": "store",
+    "DEFAULT_REQUEUE_CAP": "store",
+    "INACTIVE_STATES": "store",
+    "Job": "store",
+    "JobStore": "store",
+    "QUARANTINED": "store",
+    "ReapOutcome": "store",
+    "STATES": "store",
+    "TERMINAL_STATES": "store",
+    "UnknownJobError": "store",
+    "default_worker_id": "store",
+    "WorkerSupervisor": "supervisor",
+    "Worker": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_namespace(__name__, _EXPORTS)

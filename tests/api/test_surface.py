@@ -84,12 +84,11 @@ class TestSurface:
         assert api.STAGE_ORDER == EXPECTED_STAGE_ORDER
 
     def test_cache_dir_constant_matches_explore(self):
-        # repro.api re-declares the default cache dir to stay import-light;
-        # this pins the two constants together.
+        # One definition: repro.explore re-exports the API layer's constant.
         from repro.api.request import DEFAULT_CACHE_DIR as api_dir
-        from repro.explore.cache import DEFAULT_CACHE_DIR as explore_dir
+        from repro.explore import DEFAULT_CACHE_DIR as explore_dir
 
-        assert api_dir == explore_dir
+        assert explore_dir is api_dir
 
     def test_every_experiment_describes_itself(self):
         for experiment in api.list_experiments():

@@ -144,6 +144,31 @@ class TestTable2:
         with pytest.raises(KeyError):
             table2.cell("ResNet-18", "CIFAR-10", 0.5)
 
+    def test_pruned_cells_record_the_batches_they_pruned(self, table2):
+        # TINY trains 8 batches, more than the threshold FIFO's depth of 5.
+        assert table2.cell("ResNet-18", "CIFAR-10", 0.9).batches_pruned > 0
+        assert table2.baseline("ResNet-18", "CIFAR-10").batches_pruned == 0
+        assert "Never pruned" not in table2.format()
+
+    def test_smoke_scale_never_prunes_and_says_so(self):
+        # 76 training samples at batch 32 are 3 batches: every pruned cell
+        # ends inside the FIFO's warm-up.
+        from repro.api import ExperimentRequest, run_experiment
+
+        result = run_experiment(ExperimentRequest(
+            experiment="table2",
+            scale=ExperimentScale.smoke(),
+            params={"models": ["AlexNet"], "pruning_rates": [None, 0.7, 0.9]},
+        ))
+        counts = {
+            cell["pruning_rate"]: cell["batches_pruned"]
+            for cell in result.payload["cells"]
+        }
+        assert counts == {None: 0, 0.7: 0, 0.9: 0}
+        last = result.summary.splitlines()[-1]
+        assert last.startswith("Never pruned")
+        assert last.endswith(": AlexNet/CIFAR-10 p=70%, AlexNet/CIFAR-10 p=90%")
+
     def test_train_one_cell_baseline_has_no_pruning(self):
         cell = train_one_cell("ResNet-18", "CIFAR-10", None, TINY)
         assert cell.is_baseline
